@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke obs-check cache-check index-check
+.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke obs-check cache-check index-check xbench-smoke
 
 all: build test
 
@@ -93,13 +93,21 @@ cache-check:
 index-check:
 	$(GO) test -run 'TestIndexParity' -count=1 ./internal/difftest
 
+# Benchmark smoke: xbench is its own module, so `go test ./...` at the root
+# skips it. Its tests build xqd and run every workload at tiny size, checking
+# each answer against the other engine's, so a kernel that changes an
+# answer fails here, not only in a benchmark run. (The Table-2 counts in
+# xbench/pinned.json are checked only by full-size runs at seed 1.)
+xbench-smoke:
+	cd xbench && $(GO) test ./...
+
 # What CI runs (see .github/workflows/ci.yml). The -race pass covers the
 # concurrent store/xqd tests and the parallel fixpoint pools; the plain
 # pass runs the differential-harness seed block (internal/difftest); the
 # coverage step enforces the internal/algebra floor; loadsmoke gates the
 # overload/degradation contract; obs-check gates tracing-on/off parity;
 # cache-check gates caches-on/off parity; index-check gates indexed-vs-
-# scan parity.
+# scan parity; xbench-smoke gates the benchmark workloads' answers.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -111,6 +119,7 @@ ci:
 	$(MAKE) cache-check
 	$(MAKE) index-check
 	$(MAKE) loadsmoke
+	$(MAKE) xbench-smoke
 
 # Differential fuzzing: random documents + random fixpoint queries, every
 # engine/mode/optimizer-level/worker-count combination must agree byte for
@@ -129,7 +138,7 @@ explain:
 	$(GO) test -run 'TestGolden' -count=1 ./internal/algebra/opt
 
 explain-update:
-	$(GO) test -run 'TestGolden' -count=1 -update ./internal/algebra/opt
+	$(GO) test -run 'TestGolden' -count=1 ./internal/algebra/opt -update
 	git --no-pager diff --stat internal/algebra/opt/testdata
 
 # The Table 2 cells tracked across PRs (see EXPERIMENTS.md, BENCH_1.json).

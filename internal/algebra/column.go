@@ -2,50 +2,68 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/xdm"
 )
 
-// Column is one attribute vector of a Table. Storage is type-tagged: a
-// column holding only nodes packs each value into the (doc-stamp, pre)
-// uint64 identity of keys.go — 8 bytes per value, and exactly the key that
-// dedup, joins, and fixpoint accumulation consume, so key extraction from a
-// packed column is a plain slice read. Everything else (and any column that
-// ever held a non-node) stores full xdm.Items. Columns are immutable once
-// built; tables alias them freely (projection and rename are pointer
-// copies), which is why every constructor hands out fresh backing slices.
+// Column is one attribute vector of a Table. Storage is type-tagged, in
+// one of three forms:
+//
+//   - packed: a node-only column stores the (doc-stamp, pre) uint64
+//     identity of keys.go, 8 bytes per value;
+//   - ints: an integer-only column (loop-lifted iter, pos and row tags)
+//     stores the int64 payloads, 8 bytes per value;
+//   - generic: everything else (and any column that ever mixed kinds)
+//     stores full xdm.Items.
+//
+// Packed and int columns each have a one-word image per value (see
+// wordCol), which is the key dedup, joins and row numbering hash on.
+// Columns are immutable once built; tables alias them freely (projection
+// and rename are pointer copies), which is why every constructor hands out
+// fresh backing slices.
 type Column struct {
 	// packed holds nodeKey64 identities when the column is node-only;
-	// docs maps the stamp half back to the document. items is the generic
-	// fallback. Exactly one of packed/items is non-nil for non-empty
-	// columns; an empty column has both nil and counts as packed.
+	// docs maps the stamp half back to the document. ints holds the
+	// payloads of an integer-only column; dense marks ints == 1..n (the
+	// row-tag column). items is the generic fallback. At most one of
+	// packed/ints/items is non-nil; an empty column has all three nil and
+	// counts as packed.
 	packed []uint64
 	docs   *docDict
+	ints   []int64
+	dense  bool
 	items  []xdm.Item
 }
 
 // Len returns the number of values.
 func (c *Column) Len() int {
-	if c.items != nil {
+	switch {
+	case c.items != nil:
 		return len(c.items)
+	case c.ints != nil:
+		return len(c.ints)
 	}
 	return len(c.packed)
 }
 
 // IsPacked reports whether the column stores packed node identities.
 // Empty columns count as packed (the packed representation of no rows).
-func (c *Column) IsPacked() bool { return c.items == nil }
+func (c *Column) IsPacked() bool { return c.items == nil && c.ints == nil }
 
-// Packed exposes the packed identity vector (nil for generic columns).
-// Callers must not mutate it.
+// Packed exposes the packed identity vector (nil for int and generic
+// columns). Callers must not mutate it.
 func (c *Column) Packed() []uint64 { return c.packed }
 
 // Item materializes value i. Packed columns rebuild the NodeRef through
 // the doc dictionary; loops that read many values should prefer a reader
 // (which caches the last document) or, for node-only access, Node.
 func (c *Column) Item(i int) xdm.Item {
-	if c.items != nil {
+	switch {
+	case c.items != nil:
 		return c.items[i]
+	case c.ints != nil:
+		return xdm.NewInteger(c.ints[i])
 	}
 	return xdm.NewNode(c.docs.unpack(c.packed[i]))
 }
@@ -60,8 +78,11 @@ func (c *Column) Node(i int) xdm.NodeRef {
 
 // IsNodeAt reports whether value i is a node.
 func (c *Column) IsNodeAt(i int) bool {
-	if c.items != nil {
+	switch {
+	case c.items != nil:
 		return c.items[i].IsNode()
+	case c.ints != nil:
+		return false
 	}
 	return true
 }
@@ -78,8 +99,11 @@ type reader struct {
 func (c *Column) reader() reader { return reader{col: c} }
 
 func (r *reader) item(i int) xdm.Item {
-	if r.col.items != nil {
+	switch {
+	case r.col.items != nil:
 		return r.col.items[i]
+	case r.col.ints != nil:
+		return xdm.NewInteger(r.col.ints[i])
 	}
 	return xdm.NewNode(r.node(i))
 }
@@ -145,23 +169,70 @@ func (d *docDict) clone() *docDict {
 // would grow one entry per row.
 const maxPackedDocs = 64
 
-// colBuilder accumulates one output column, packing optimistically: it
+// colForm names a column's storage form. formNone is a builder that has
+// not seen a value yet; a finished empty column counts as formNode.
+type colForm uint8
+
+const (
+	formNone colForm = iota
+	formNode
+	formInt
+	formGeneric
+)
+
+// form reports the column's storage form.
+func (c *Column) form() colForm {
+	switch {
+	case c.items != nil:
+		return formGeneric
+	case c.ints != nil:
+		return formInt
+	}
+	return formNode
+}
+
+// wordCol is the one-word image of a packed or int column: the nodeKey64
+// identity of a node, the float64 bits of an integer. It is the image
+// packItem gives the same values, so equal words draw exactly the identity
+// and join-match boundaries of the generic ikey path within one form,
+// integers beyond 2⁵³ included. Words of different forms never compare:
+// a node word may equal an integer's bits.
+type wordCol struct {
+	packed []uint64
+	ints   []int64
+}
+
+func (w wordCol) at(i int) uint64 {
+	if w.ints != nil {
+		return math.Float64bits(float64(w.ints[i]))
+	}
+	return w.packed[i]
+}
+
+// words returns the column's word image; ok is false for generic columns.
+func (c *Column) words() (w wordCol, ok bool) {
+	return wordCol{packed: c.packed, ints: c.ints}, c.items == nil
+}
+
+// colBuilder accumulates one output column, typing optimistically: it
 // stays packed while every appended value is a node over a bounded set of
-// documents and degrades to generic items on the first non-node (or when
-// the document set blows past maxPackedDocs).
+// documents, stays int while every value is an integer, and degrades to
+// generic items on the first value of another kind (or when the document
+// set blows past maxPackedDocs).
 type colBuilder struct {
 	packed  []uint64
+	ints    []int64
 	items   []xdm.Item
 	dict    *docDict
 	lastDoc *xdm.Document // builder-local intern fast path
 	hint    int           // expected value count; backing allocated lazily
 	ownDict bool          // false while dict is shared with a source column
-	generic bool
+	form    colForm
 }
 
 // newColBuilder sizes the builder for about n values. No backing vector is
-// allocated until the first append decides packed vs generic, so a column
-// that turns out generic never pays for a discarded packed vector.
+// allocated until the first append decides the form, so a column that
+// turns out generic never pays for a discarded typed vector.
 func newColBuilder(n int) *colBuilder {
 	return &colBuilder{hint: n}
 }
@@ -176,38 +247,48 @@ func (b *colBuilder) shareDict(d *docDict) {
 }
 
 func (b *colBuilder) len() int {
-	if b.generic {
+	switch b.form {
+	case formGeneric:
 		return len(b.items)
+	case formInt:
+		return len(b.ints)
 	}
 	return len(b.packed)
 }
 
-// degrade materializes the packed prefix as items and switches the builder
+// degrade materializes the typed prefix as items and switches the builder
 // to generic storage.
 func (b *colBuilder) degrade() {
-	if b.generic {
+	if b.form == formGeneric {
 		return
 	}
-	n := len(b.packed)
-	if n < b.hint {
-		n = b.hint
-	}
-	items := make([]xdm.Item, len(b.packed), n)
-	for i, k := range b.packed {
-		items[i] = xdm.NewNode(b.dict.unpack(k))
+	n := b.len()
+	items := make([]xdm.Item, n, max(n, b.hint))
+	for i := range items {
+		if b.form == formInt {
+			items[i] = xdm.NewInteger(b.ints[i])
+		} else {
+			items[i] = xdm.NewNode(b.dict.unpack(b.packed[i]))
+		}
 	}
 	b.items = items
-	b.packed = nil
-	b.generic = true
+	b.packed, b.ints = nil, nil
+	b.form = formGeneric
 }
 
 func (b *colBuilder) appendNode(n xdm.NodeRef) {
-	if b.generic {
+	if b.form == formInt {
+		b.degrade()
+	}
+	if b.form == formGeneric {
 		b.items = append(b.items, xdm.NewNode(n))
 		return
 	}
-	if b.packed == nil && b.hint > 0 {
-		b.packed = make([]uint64, 0, b.hint)
+	if b.form == formNone {
+		b.form = formNode
+		if b.hint > 0 {
+			b.packed = make([]uint64, 0, b.hint)
+		}
 	}
 	if b.dict == nil {
 		b.dict, b.ownDict = newDocDict(), true
@@ -227,22 +308,42 @@ func (b *colBuilder) appendNode(n xdm.NodeRef) {
 	b.packed = append(b.packed, nodeKey64(n))
 }
 
-func (b *colBuilder) append(it xdm.Item) {
-	if !b.generic && it.IsNode() {
-		b.appendNode(it.Node())
-		return
-	}
-	if !b.generic {
+func (b *colBuilder) appendInt(v int64) {
+	switch b.form {
+	case formNone:
+		b.form = formInt
+		if b.hint > 0 {
+			b.ints = make([]int64, 0, b.hint)
+		}
+	case formNode:
 		b.degrade()
 	}
-	b.items = append(b.items, it)
+	if b.form == formGeneric {
+		b.items = append(b.items, xdm.NewInteger(v))
+		return
+	}
+	b.ints = append(b.ints, v)
+}
+
+func (b *colBuilder) append(it xdm.Item) {
+	switch it.Kind() {
+	case xdm.KNode:
+		b.appendNode(it.Node())
+	case xdm.KInteger:
+		b.appendInt(it.Int())
+	default:
+		b.degrade()
+		b.items = append(b.items, it)
+	}
 }
 
 func (b *colBuilder) finish() *Column {
-	if b.generic {
+	switch {
+	case b.form == formGeneric:
 		return &Column{items: b.items}
-	}
-	if len(b.packed) == 0 {
+	case b.form == formInt:
+		return &Column{ints: b.ints}
+	case len(b.packed) == 0:
 		return &Column{}
 	}
 	return &Column{packed: b.packed, docs: b.dict}
@@ -256,7 +357,16 @@ func genericColumn(items []xdm.Item) *Column {
 	return &Column{items: items}
 }
 
-// columnFromItems builds a column from values, packing node-only runs.
+// intColumn wraps an integer slice (caller transfers ownership).
+func intColumn(ints []int64) *Column {
+	if len(ints) == 0 {
+		return &Column{}
+	}
+	return &Column{ints: ints}
+}
+
+// columnFromItems builds a column from values, typing node-only and
+// integer-only runs.
 func columnFromItems(items []xdm.Item) *Column {
 	b := newColBuilder(len(items))
 	for _, it := range items {
@@ -270,7 +380,8 @@ func repeatColumn(it xdm.Item, n int) *Column {
 	if n == 0 {
 		return &Column{}
 	}
-	if it.IsNode() {
+	switch it.Kind() {
+	case xdm.KNode:
 		d := newDocDict()
 		d.intern(it.Node().D)
 		k := nodeKey64(it.Node())
@@ -279,6 +390,12 @@ func repeatColumn(it xdm.Item, n int) *Column {
 			packed[i] = k
 		}
 		return &Column{packed: packed, docs: d}
+	case xdm.KInteger:
+		ints := make([]int64, n)
+		for i := range ints {
+			ints[i] = it.Int()
+		}
+		return &Column{ints: ints}
 	}
 	items := make([]xdm.Item, n)
 	for i := range items {
@@ -287,68 +404,80 @@ func repeatColumn(it xdm.Item, n int) *Column {
 	return &Column{items: items}
 }
 
-// intRangeColumn is the 1..n integer column (row tagging).
+// intRangeColumn is the dense 1..n integer column (row tagging).
 func intRangeColumn(n int) *Column {
-	items := make([]xdm.Item, n)
-	for i := range items {
-		items[i] = xdm.NewInteger(int64(i + 1))
+	if n == 0 {
+		return &Column{}
 	}
-	return genericColumn(items)
+	ints := make([]int64, n)
+	for i := range ints {
+		ints[i] = int64(i + 1)
+	}
+	return &Column{ints: ints, dense: true}
 }
 
-// gather builds the column of c's values at the given row indices. Packed
-// sources stay packed and share the dictionary (a gather never introduces
-// a new document), so gathering node columns is a pure uint64 copy.
+// gather builds the column of c's values at the given row indices. Typed
+// sources stay typed — packed ones share the dictionary (a gather never
+// introduces a new document) — so gathering them is a pure word copy.
 func (c *Column) gather(idx []int32) *Column {
 	if len(idx) == 0 {
 		return &Column{}
 	}
-	if c.items == nil {
-		packed := make([]uint64, len(idx))
+	switch c.form() {
+	case formInt:
+		ints := make([]int64, len(idx))
 		for i, r := range idx {
-			packed[i] = c.packed[r]
+			ints[i] = c.ints[r]
 		}
-		return &Column{packed: packed, docs: c.docs}
+		return &Column{ints: ints}
+	case formGeneric:
+		items := make([]xdm.Item, len(idx))
+		for i, r := range idx {
+			items[i] = c.items[r]
+		}
+		return &Column{items: items}
 	}
-	items := make([]xdm.Item, len(idx))
+	packed := make([]uint64, len(idx))
 	for i, r := range idx {
-		items[i] = c.items[r]
+		packed[i] = c.packed[r]
 	}
-	return &Column{items: items}
+	return &Column{packed: packed, docs: c.docs}
 }
 
 // expandRuns replicates value i counts[i] times, in order — the run-length
 // twin of gather used by the segment-sharing step path, where one context
 // row fans out into len(segment) result rows. total is the known output
-// length (the sum of counts). Packed sources stay packed and share the
-// dictionary, exactly like gather.
+// length (the sum of counts). Typed sources stay typed, exactly like
+// gather.
 func (c *Column) expandRuns(counts []int32, total int) *Column {
 	if total == 0 {
 		return &Column{}
 	}
-	if c.items == nil {
-		out := make([]uint64, 0, total)
-		for i, k := range c.packed {
-			for j := int32(0); j < counts[i]; j++ {
-				out = append(out, k)
-			}
-		}
-		return &Column{packed: out, docs: c.docs}
+	switch c.form() {
+	case formInt:
+		return &Column{ints: expand(c.ints, counts, total)}
+	case formGeneric:
+		return &Column{items: expand(c.items, counts, total)}
 	}
-	out := make([]xdm.Item, 0, total)
-	for i, it := range c.items {
-		for j := int32(0); j < counts[i]; j++ {
-			out = append(out, it)
-		}
-	}
-	return &Column{items: out}
+	return &Column{packed: expand(c.packed, counts, total), docs: c.docs}
 }
 
-// concatColumns concatenates column chunks into one column. All-packed
-// inputs stay packed (dictionaries merge, or share when there is only one
-// distinct dictionary); any generic chunk degrades the result.
+func expand[T any](vals []T, counts []int32, total int) []T {
+	out := make([]T, 0, total)
+	for i, v := range vals {
+		for j := int32(0); j < counts[i]; j++ {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// concatColumns concatenates column chunks into one column. Inputs of one
+// typed form keep it (packed dictionaries merge, or share when there is
+// only one distinct dictionary); any generic chunk, or a mix of forms,
+// degrades the result.
 func concatColumns(chunks []*Column) *Column {
-	total, packed := 0, true
+	total, form := 0, formNone
 	var dict *docDict
 	oneDict := true
 	for _, c := range chunks {
@@ -356,20 +485,30 @@ func concatColumns(chunks []*Column) *Column {
 		if c.Len() == 0 {
 			continue
 		}
-		if !c.IsPacked() {
-			packed = false
-			continue
+		switch f := c.form(); {
+		case form == formNone:
+			form = f
+		case f != form:
+			form = formGeneric
 		}
-		if dict == nil {
-			dict = c.docs
-		} else if c.docs != dict {
-			oneDict = false
+		if c.IsPacked() {
+			if dict == nil {
+				dict = c.docs
+			} else if c.docs != dict {
+				oneDict = false
+			}
 		}
 	}
-	if total == 0 {
+	switch form {
+	case formNone:
 		return &Column{}
-	}
-	if packed {
+	case formInt:
+		out := make([]int64, 0, total)
+		for _, c := range chunks {
+			out = append(out, c.ints...)
+		}
+		return &Column{ints: out}
+	case formNode:
 		out := make([]uint64, 0, total)
 		for _, c := range chunks {
 			out = append(out, c.packed...)

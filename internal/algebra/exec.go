@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -305,17 +307,16 @@ func opGathers(op OpKind) bool {
 	return false
 }
 
-// approxBytes estimates a table's resident bytes: a packed node column
-// costs one 8-byte identity word per row, a generic column one xdm.Item
-// (interface header, 16 bytes) per row — the vector payload only, ignoring
-// per-column headers.
+// approxBytes estimates a table's resident bytes: a packed node or int
+// column costs one 8-byte word per row, a generic column one xdm.Item per
+// row — the vector payload only, ignoring per-column headers.
 func (t *Table) approxBytes() int64 {
 	var b int64
 	for _, c := range t.cols {
-		if c.IsPacked() {
-			b += 8 * int64(c.Len())
+		if c.form() == formGeneric {
+			b += int64(unsafe.Sizeof(xdm.Item{})) * int64(c.Len())
 		} else {
-			b += 16 * int64(c.Len())
+			b += 8 * int64(c.Len())
 		}
 	}
 	return b
@@ -399,11 +400,10 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 		}
 		cond := in.cols[in.Col(n.Col)]
 		var sel []int32
-		if !cond.IsPacked() { // a packed column holds nodes, never booleans
-			for i, it := range cond.items {
-				if it.Kind() == xdm.KBoolean && it.Bool() {
-					sel = append(sel, int32(i))
-				}
+		// Only a generic column can hold booleans.
+		for i, it := range cond.items {
+			if it.Kind() == xdm.KBoolean && it.Bool() {
+				sel = append(sel, int32(i))
 			}
 		}
 		return in.gather(sel), nil
@@ -485,11 +485,7 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 			}
 			counts[i]++
 		}
-		cvals := make([]xdm.Item, len(counts))
-		for i, c := range counts {
-			cvals[i] = xdm.NewInteger(c)
-		}
-		return NewColTable(n.Schema(), []*Column{columnFromItems(reps), genericColumn(cvals)}), nil
+		return NewColTable(n.Schema(), []*Column{columnFromItems(reps), intColumn(counts)}), nil
 	case OpNumOp:
 		return ctx.evalNumOp(n)
 	case OpRowTag:
@@ -525,16 +521,16 @@ func joinGather(names []string, l *Table, li []int32, r *Table, ri []int32) *Tab
 	return &Table{Cols: names, cols: cols, n: len(li)}
 }
 
-// distinctTable is δ over the full row. Single packed columns deduplicate
-// on the stored identity words directly; general rows go through the
-// rowSet scratch-row path.
+// distinctTable is δ over the full row. Rows of one or two typed columns
+// deduplicate on their key words in a presized wordTable; general rows go
+// through the rowSet scratch-row path.
 func distinctTable(in *Table) *Table {
 	var sel []int32
-	if len(in.cols) == 1 && in.cols[0].IsPacked() {
-		set := newRowSet(1)
-		for i, k := range in.cols[0].packed {
-			if set.insertPacked1(k) {
-				sel = append(sel, int32(i))
+	if ws, ok := wordKeys(in.cols); ok {
+		set := newWordTable(in.n)
+		for r := 0; r < in.n; r++ {
+			if _, fresh := set.insert(keyWords(ws, r)); fresh {
+				sel = append(sel, int32(r))
 			}
 		}
 		return in.gather(sel)
@@ -559,22 +555,29 @@ func distinctTable(in *Table) *Table {
 }
 
 // diffTable is bag difference (EXCEPT ALL) with right columns aligned to
-// the left schema by name; single packed columns count identity words
-// directly.
+// the left schema by name. Rows of one or two typed columns, paired with
+// right columns of the same forms, count their key words.
 func diffTable(l, r *Table) *Table {
-	ridx := make([]int, len(l.Cols))
+	rcols := make([]*Column, len(l.Cols))
 	for i, c := range l.Cols {
-		ridx[i] = r.Col(c)
+		rcols[i] = r.cols[r.Col(c)]
 	}
 	var sel []int32
-	if len(l.cols) == 1 && l.cols[0].IsPacked() && r.cols[ridx[0]].IsPacked() {
-		counts := newRowCounter(1)
-		for _, k := range r.cols[ridx[0]].packed {
-			counts.addPacked1(k, 1)
+	lw, lok := wordKeys(l.cols)
+	rw, rok := wordKeys(rcols)
+	if lok && rok && sameForms(l.cols, rcols) {
+		set := newWordTable(r.n)
+		var counts []int32
+		for i := 0; i < r.n; i++ {
+			id, fresh := set.insert(keyWords(rw, i))
+			if fresh {
+				counts = append(counts, 0)
+			}
+			counts[id]++
 		}
-		for i, k := range l.cols[0].packed {
-			if counts.addPacked1(k, 0) > 0 {
-				counts.addPacked1(k, -1)
+		for i := 0; i < l.n; i++ {
+			if id := set.find(keyWords(lw, i)); id >= 0 && counts[id] > 0 {
+				counts[id]--
 				continue
 			}
 			sel = append(sel, int32(i))
@@ -582,12 +585,12 @@ func diffTable(l, r *Table) *Table {
 		return l.gather(sel)
 	}
 	counts := newRowCounter(len(l.Cols))
-	rrow := make([]xdm.Item, len(ridx))
-	rIdent := make([]int, len(ridx))
-	rReaders := make([]reader, len(ridx))
-	for i, c := range ridx {
+	rrow := make([]xdm.Item, len(rcols))
+	rIdent := make([]int, len(rcols))
+	rReaders := make([]reader, len(rcols))
+	for i, c := range rcols {
 		rIdent[i] = i
-		rReaders[i] = r.cols[c].reader()
+		rReaders[i] = c.reader()
 	}
 	for i := 0; i < r.n; i++ {
 		for c := range rReaders {
@@ -705,62 +708,63 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 	if len(eq) > 2 {
 		return nil, xdm.Errorf(xdm.ErrType, "algebra: joins support at most two equality predicates")
 	}
-	// Build a hash index on the right side over the equality predicates;
-	// the (build, probe) key-namespace scheme guarantees each matching
-	// pair meets under exactly one key, so no match deduplication needed.
 	rEqCols := make([]*Column, len(eq))
 	lEqCols := make([]*Column, len(eq))
 	for i, p := range eq {
 		lEqCols[i] = l.cols[l.Col(p.L)]
 		rEqCols[i] = r.cols[r.Col(p.R)]
 	}
-	// Node-identity keys bypass the promotion-namespace machinery: a node
-	// only ever meets another node, under exactly its packed identity, so
-	// both sides skip the per-row []ikey key-slice allocation — and when a
-	// key column is packed, the stored word *is* the hash key, read straight
-	// off the vector. Indexes are allocated for the arity actually joined on
-	// (lookups on the unused nil maps are legal and always miss).
+	// Typed key columns join on their word images: a node only ever meets
+	// the same node and an integer only an equal integer, so when every
+	// predicate pairs two columns of one typed form, word equality is the
+	// match relation. A dense (1..n) build column is its own index: the
+	// probe value v meets build row v-1. Otherwise the build side's words
+	// go into a presized wordTable whose ids head int32 chains of build
+	// rows in ascending order. All other key columns take the promotion
+	// scheme of buildIKeys/probeIKeys, which guarantees each matching pair
+	// meets under exactly one key, so no match deduplication is needed.
+	lw, lok := wordKeys(lEqCols)
+	rw, rok := wordKeys(rEqCols)
+	wordy := lok && rok && sameForms(lEqCols, rEqCols)
+	dense := -1
+	var words *wordTable
+	var head, next []int32
 	var idx1 map[ikey][]int32
 	var idx2 map[ikey2][]int32
-	var nidx1 map[uint64][]int32
-	var nidx2 map[[2]uint64][]int32
-	switch len(eq) {
-	case 1:
-		idx1 = map[ikey][]int32{}
-		nidx1 = map[uint64][]int32{}
-	case 2:
-		idx2 = map[ikey2][]int32{}
-		nidx2 = map[[2]uint64][]int32{}
-	}
 	var ka, kb [2]ikey // stack scratch for promoted keys
-	switch len(eq) {
-	case 1:
-		if rEqCols[0].IsPacked() {
-			for ri, k := range rEqCols[0].packed {
-				nidx1[k] = append(nidx1[k], int32(ri))
+	switch {
+	case wordy:
+		for i, c := range rEqCols {
+			if c.dense && dense < 0 {
+				dense = i
 			}
+		}
+		if dense >= 0 {
 			break
 		}
-		for ri, it := range rEqCols[0].items {
-			if it.IsNode() {
-				k := nodeKey64(it.Node())
-				nidx1[k] = append(nidx1[k], int32(ri))
-				continue
+		words = newWordTable(r.n)
+		next = make([]int32, r.n)
+		for ri := r.n - 1; ri >= 0; ri-- {
+			id, fresh := words.insert(keyWords(rw, ri))
+			if fresh {
+				head = append(head, -1)
 			}
-			for _, k := range ka[:buildIKeys(&ka, it)] {
+			next[ri] = head[id]
+			head[id] = int32(ri)
+		}
+	case len(eq) == 1:
+		idx1 = map[ikey][]int32{}
+		ra := rEqCols[0].reader()
+		for ri := 0; ri < r.n; ri++ {
+			for _, k := range ka[:buildIKeys(&ka, ra.item(ri))] {
 				idx1[k] = append(idx1[k], int32(ri))
 			}
 		}
-	case 2:
+	case len(eq) == 2:
+		idx2 = map[ikey2][]int32{}
 		ra, rb := rEqCols[0].reader(), rEqCols[1].reader()
 		for ri := 0; ri < r.n; ri++ {
-			ia, ib := ra.item(ri), rb.item(ri)
-			if ia.IsNode() && ib.IsNode() {
-				k := [2]uint64{nodeKey64(ia.Node()), nodeKey64(ib.Node())}
-				nidx2[k] = append(nidx2[k], int32(ri))
-				continue
-			}
-			na, nb := buildIKeys(&ka, ia), buildIKeys(&kb, ib)
+			na, nb := buildIKeys(&ka, ra.item(ri)), buildIKeys(&kb, rb.item(ri))
 			for _, a := range ka[:na] {
 				for _, b := range kb[:nb] {
 					k := ikey2{a, b}
@@ -776,11 +780,11 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 		rThetaCols[i] = r.cols[r.Col(p.R)]
 	}
 	// probe matches one probe-side row range against the (now read-only)
-	// hash indexes, producing matched index pairs — materialization is a
-	// single gather after all chunks return. Sharded probing hands each
-	// chunk its own readers and candidates scratch; per-chunk outputs
-	// concatenate in chunk order, so the join's row order is identical at
-	// every worker count.
+	// indexes, producing matched index pairs — materialization is a single
+	// gather after all chunks return. Sharded probing hands each chunk its
+	// own readers and candidates scratch; per-chunk outputs concatenate in
+	// chunk order, so the join's row order is identical at every worker
+	// count.
 	probe := func(lo, hi int) ([]int32, []int32) {
 		var li, ri []int32
 		var candidates []int32
@@ -801,34 +805,31 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 		for row := lo; row < hi; row++ {
 			matched := false
 			candidates = candidates[:0]
-			switch len(eq) {
-			case 1:
-				if lEqCols[0].IsPacked() {
-					candidates = append(candidates, nidx1[lEqCols[0].packed[row]]...)
-					break
+			switch {
+			case len(eq) == 0:
+				for i := 0; i < r.n; i++ {
+					candidates = append(candidates, int32(i))
 				}
-				if it := lEqCols[0].items[row]; it.IsNode() {
-					candidates = append(candidates, nidx1[nodeKey64(it.Node())]...)
-				} else {
-					for _, k := range pka[:probeIKeys(&pka, it)] {
-						candidates = append(candidates, idx1[k]...)
+			case dense >= 0:
+				if v := lw[dense].ints[row]; v >= 1 && v <= int64(r.n) && wordsEqual(lw, row, rw, int(v-1)) {
+					candidates = append(candidates, int32(v-1))
+				}
+			case wordy:
+				if id := words.find(keyWords(lw, row)); id >= 0 {
+					for c := head[id]; c >= 0; c = next[c] {
+						candidates = append(candidates, c)
 					}
 				}
-			case 2:
-				ia, ib := pa.item(row), pb.item(row)
-				if ia.IsNode() && ib.IsNode() {
-					candidates = append(candidates, nidx2[[2]uint64{nodeKey64(ia.Node()), nodeKey64(ib.Node())}]...)
-					break
+			case len(eq) == 1:
+				for _, k := range pka[:probeIKeys(&pka, pa.item(row))] {
+					candidates = append(candidates, idx1[k]...)
 				}
-				na, nb := probeIKeys(&pka, ia), probeIKeys(&pkb, ib)
+			default:
+				na, nb := probeIKeys(&pka, pa.item(row)), probeIKeys(&pkb, pb.item(row))
 				for _, a := range pka[:na] {
 					for _, b := range pkb[:nb] {
 						candidates = append(candidates, idx2[ikey2{a, b}]...)
 					}
-				}
-			default:
-				for i := 0; i < r.n; i++ {
-					candidates = append(candidates, int32(i))
 				}
 			}
 			for _, cand := range candidates {
@@ -881,6 +882,17 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 	return joinGather(n.Schema(), l, li, r, ri), nil
 }
 
+// wordsEqual reports whether probe row l and build row r agree on every
+// key word.
+func wordsEqual(lw []wordCol, l int, rw []wordCol, r int) bool {
+	for i := range lw {
+		if lw[i].at(l) != rw[i].at(r) {
+			return false
+		}
+	}
+	return true
+}
+
 // predHolds evaluates one theta-join predicate, covering node comparisons
 // that general-comparison promotion does not.
 func predHolds(a, b xdm.Item, k NumKind) bool {
@@ -927,6 +939,9 @@ func (ctx *ExecContext) evalNumOp(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if out := intCompare(n, in); out != nil {
+		return NewColTable(n.Schema(), append(aliasCols(in), out)), nil
+	}
 	readers := make([]reader, len(n.NumArgs))
 	for i, a := range n.NumArgs {
 		readers[i] = in.cols[in.Col(a)].reader()
@@ -940,6 +955,41 @@ func (ctx *ExecContext) evalNumOp(n *Node) (*Table, error) {
 		out.append(applyNumOp(n.Num, args))
 	}
 	return NewColTable(n.Schema(), append(aliasCols(in), out.finish())), nil
+}
+
+// intCompare evaluates a comparison of two int columns straight off their
+// payloads — integers compare exactly, as xdm.CompareValues does — and
+// returns nil for any other operator or column form.
+func intCompare(n *Node, in *Table) *Column {
+	if len(n.NumArgs) != 2 {
+		return nil
+	}
+	a, b := in.cols[in.Col(n.NumArgs[0])].ints, in.cols[in.Col(n.NumArgs[1])].ints
+	if a == nil || b == nil {
+		return nil
+	}
+	var holds func(c int) bool
+	switch n.Num {
+	case NumEq, NumValCmpEq:
+		holds = func(c int) bool { return c == 0 }
+	case NumNe:
+		holds = func(c int) bool { return c != 0 }
+	case NumLt:
+		holds = func(c int) bool { return c < 0 }
+	case NumLe:
+		holds = func(c int) bool { return c <= 0 }
+	case NumGt:
+		holds = func(c int) bool { return c > 0 }
+	case NumGe:
+		holds = func(c int) bool { return c >= 0 }
+	default:
+		return nil
+	}
+	out := make([]xdm.Item, len(a))
+	for i := range out {
+		out[i] = xdm.NewBoolean(holds(cmp.Compare(a[i], b[i])))
+	}
+	return &Column{items: out}
 }
 
 // applyNumOp computes one ⊚ application over the fetched argument items.
@@ -1032,24 +1082,22 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Materialize the sort and group key columns once: the sort makes
-	// O(n log n) random accesses, which packed columns answer fastest from
-	// a flat item slice.
-	gvals := make([][]xdm.Item, len(n.GroupCols))
+	if len(n.GroupCols) > 2 {
+		return nil, xdm.Errorf(xdm.ErrType, "algebra: row numbering supports at most two partition columns")
+	}
+	gcols := make([]*Column, len(n.GroupCols))
 	for i, c := range n.GroupCols {
-		gvals[i] = materialize(in.cols[in.Col(c)])
+		gcols[i] = in.cols[in.Col(c)]
 	}
-	svals := make([][]xdm.Item, len(n.SortCols))
+	part, nparts := partitionIDs(gcols, in.n)
+	cmps := make([]func(a, b int) int, len(n.SortCols))
 	for i, c := range n.SortCols {
-		svals[i] = materialize(in.cols[in.Col(c)])
+		cmps[i] = comparator(in.cols[in.Col(c)])
 	}
-	order := make([]int, in.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		for _, s := range svals {
-			if c := compareItems(s[order[a]], s[order[b]]); c != 0 {
+	// before reports whether row a sorts strictly before row b.
+	before := func(a, b int) bool {
+		for _, compare := range cmps {
+			if c := compare(a, b); c != 0 {
 				if n.Desc {
 					return c > 0
 				}
@@ -1057,37 +1105,80 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 			}
 		}
 		return false
-	})
+	}
+	order := make([]int, in.n)
+	for i := range order {
+		order[i] = i
+	}
+	// Ranks follow a stable sort, which a table already in order within
+	// each partition — step output almost always is — can skip.
+	last := make([]int, nparts)
+	for i := range last {
+		last[i] = -1
+	}
+	for r := 0; r < in.n; r++ {
+		if l := last[part[r]]; l >= 0 && before(r, l) {
+			sort.SliceStable(order, func(a, b int) bool { return before(order[a], order[b]) })
+			break
+		}
+		last[part[r]] = r
+	}
 	ranks := make([]int64, in.n)
-	switch len(gvals) {
-	case 0:
-		var c int64
-		for _, ri := range order {
-			c++
-			ranks[ri] = c
-		}
-	default:
-		if len(gvals) > 2 {
-			return nil, xdm.Errorf(xdm.ErrType, "algebra: row numbering supports at most two partition columns")
-		}
-		counters := newRowCounter(len(gvals))
-		gidx := make([]int, len(gvals))
-		for i := range gidx {
-			gidx[i] = i
-		}
-		grow := make([]xdm.Item, len(gvals))
-		for _, ri := range order {
-			for c := range gvals {
-				grow[c] = gvals[c][ri]
-			}
-			ranks[ri] = int64(counters.add(grow, gidx, 1))
-		}
+	seen := make([]int64, nparts)
+	for _, r := range order {
+		seen[part[r]]++
+		ranks[r] = seen[part[r]]
 	}
-	rvals := make([]xdm.Item, in.n)
-	for i, rk := range ranks {
-		rvals[i] = xdm.NewInteger(rk)
+	return NewColTable(n.Schema(), append(aliasCols(in), intColumn(ranks))), nil
+}
+
+// partitionIDs numbers the distinct rows of the group columns in
+// first-seen order: typed columns through a wordTable, generic ones
+// through their ikeys. No group columns put every row in partition 0.
+func partitionIDs(cols []*Column, n int) ([]int32, int) {
+	part := make([]int32, n)
+	if len(cols) == 0 {
+		return part, 1
 	}
-	return NewColTable(n.Schema(), append(aliasCols(in), genericColumn(rvals))), nil
+	if ws, ok := wordKeys(cols); ok {
+		ids := newWordTable(n)
+		for r := range part {
+			part[r], _ = ids.insert(keyWords(ws, r))
+		}
+		return part, ids.len()
+	}
+	ids := map[ikey2]int32{}
+	readers := make([]reader, len(cols))
+	for i, c := range cols {
+		readers[i] = c.reader()
+	}
+	for r := range part {
+		var k ikey2
+		k.a = itemIKey(readers[0].item(r))
+		if len(readers) == 2 {
+			k.b = itemIKey(readers[1].item(r))
+		}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
+		}
+		part[r] = id
+	}
+	return part, len(ids)
+}
+
+// comparator orders a column's values by compareItems: packed node words
+// order as (stamp, pre), which is document order; integers compare by
+// their float64 image, as compareItems does.
+func comparator(c *Column) func(a, b int) int {
+	switch c.form() {
+	case formInt:
+		return func(a, b int) int { return cmp.Compare(float64(c.ints[a]), float64(c.ints[b])) }
+	case formGeneric:
+		return func(a, b int) int { return compareItems(c.items[a], c.items[b]) }
+	}
+	return func(a, b int) int { return cmp.Compare(c.packed[a], c.packed[b]) }
 }
 
 // materialize flattens a column into an item slice (random-access reads).
@@ -1095,9 +1186,9 @@ func materialize(c *Column) []xdm.Item {
 	if c.items != nil {
 		return c.items
 	}
-	out := make([]xdm.Item, len(c.packed))
+	out := make([]xdm.Item, c.Len())
 	r := c.reader()
-	for i := range c.packed {
+	for i := range out {
 		out[i] = r.item(i)
 	}
 	return out

@@ -271,15 +271,19 @@ type iterSet struct {
 
 // iterSets is the per-iteration node-set family: the value flowing around
 // the µ loop. Items are deduplicated per iteration and kept in document
-// order.
+// order. Iterations are looked up by the word their iter value packs to
+// (packItem: loop-lifted iters are integers) in a wordTable whose ids are
+// positions in iters and sets.
 type iterSets struct {
-	iters []xdm.Item        // distinct iter values, insertion order
-	sets  map[ikey]*iterSet // iter key → per-iteration set
+	iters []xdm.Item // distinct iter values, insertion order
+	sets  []*iterSet // parallel to iters
+	words *wordTable
+	other map[ikey]uint64 // serial words of iters packItem cannot pack
 	n     int
 }
 
 func emptyIterSets() *iterSets {
-	return &iterSets{sets: map[ikey]*iterSet{}}
+	return &iterSets{words: newWordTable(0)}
 }
 
 // newIterSets ingests an iter|…|item table, deduplicating per iter and
@@ -289,31 +293,33 @@ func newIterSets(t *Table) (*iterSets, error) { return newIterSetsN(t, 1, nil) }
 
 // newIterSetsN is newIterSets with the per-iteration document-order sorts
 // sharded across the worker pool. Ingest stays sequential (it builds the
-// shared iter map); each set's sort is independent, so sharding them
+// shared iter index); each set's sort is independent, so sharding them
 // changes nothing observable. A packed item column feeds node references
 // straight off the identity vector — no Item is ever built; only a generic
-// column can carry the non-node values Definition 2.1 rules out.
+// column can carry the non-node values Definition 2.1 rules out. An int
+// iter column resolves each run of equal iters with one lookup.
 func newIterSetsN(t *Table, workers int, cctx context.Context) (*iterSets, error) {
 	s := emptyIterSets()
-	iters := t.ColAt(t.Col("iter")).reader()
+	iterCol := t.ColAt(t.Col("iter"))
+	iters := iterCol.reader()
 	items := t.ColAt(t.Col("item"))
 	itemR := items.reader()
+	var cur *iterSet
 	for i := 0; i < t.Len(); i++ {
 		if !items.IsNodeAt(i) {
 			return nil, xdm.NewError(xdm.ErrType, "inflationary fixed point over non-node items")
 		}
-		s.add(iters.item(i), itemR.node(i))
+		if cur == nil || iterCol.ints == nil || iterCol.ints[i] != iterCol.ints[i-1] {
+			cur = s.set(iters.item(i))
+		}
+		s.addTo(cur, itemR.node(i))
 	}
 	if workers <= 1 || len(s.sets) < 2 {
 		s.sortAll()
 		return s, nil
 	}
-	sets := make([]*iterSet, 0, len(s.sets))
-	for _, set := range s.sets {
-		sets = append(sets, set)
-	}
-	if err := par.Run(cctx, workers, len(sets), func(i int) error {
-		xdm.SortNodes(sets[i].nodes)
+	if err := par.Run(cctx, workers, len(s.sets), func(i int) error {
+		xdm.SortNodes(s.sets[i].nodes)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -321,24 +327,41 @@ func newIterSetsN(t *Table, workers int, cctx context.Context) (*iterSets, error
 	return s, nil
 }
 
-func (s *iterSets) set(ik ikey, iter xdm.Item) *iterSet {
-	set, ok := s.sets[ik]
-	if !ok {
-		set = &iterSet{rep: iter}
-		s.sets[ik] = set
-		s.iters = append(s.iters, iter)
+// key returns iter's lookup words: its packItem image, or for a value
+// without one (strings, doubles) a serial word under tag 0, which packItem
+// never uses.
+func (s *iterSets) key(iter xdm.Item) (tag, word uint64) {
+	if k, ok := packItem(iter); ok {
+		return k.tag, k.val
 	}
-	return set
+	ik := itemIKey(iter)
+	w, ok := s.other[ik]
+	if !ok {
+		if s.other == nil {
+			s.other = map[ikey]uint64{}
+		}
+		w = uint64(len(s.other))
+		s.other[ik] = w
+	}
+	return 0, w
 }
 
-func (s *iterSets) add(iter xdm.Item, node xdm.NodeRef) bool {
-	set := s.set(itemIKey(iter), iter)
-	if !set.seen.Add(node) {
-		return false
+// set returns the set of iter, creating it empty on first sight.
+func (s *iterSets) set(iter xdm.Item) *iterSet {
+	id, fresh := s.words.insert(s.key(iter))
+	if fresh {
+		s.iters = append(s.iters, iter)
+		s.sets = append(s.sets, &iterSet{rep: iter})
 	}
-	set.nodes = append(set.nodes, node)
-	s.n++
-	return true
+	return s.sets[id]
+}
+
+// addTo adds node to one of s's sets unless it is already there.
+func (s *iterSets) addTo(set *iterSet, node xdm.NodeRef) {
+	if set.seen.Add(node) {
+		set.nodes = append(set.nodes, node)
+		s.n++
+	}
 }
 
 func (s *iterSets) sortAll() {
@@ -369,23 +392,21 @@ func (s *iterSets) absorb(o *iterSets) *iterSets {
 // is the context's, with s possibly part-mutated — callers abort the whole
 // execution on cancellation, so the partial state is never observed.
 func (s *iterSets) absorbN(o *iterSets, workers int, cctx context.Context) (*iterSets, error) {
-	type target struct{ oset, set *iterSet }
-	targets := make([]target, len(o.iters))
+	targets := make([]*iterSet, len(o.iters))
 	for i, iter := range o.iters {
-		ik := itemIKey(iter)
-		targets[i] = target{oset: o.sets[ik], set: s.set(ik, iter)}
+		targets[i] = s.set(iter)
 	}
 	fresh := make([][]xdm.NodeRef, len(targets))
 	absorbOne := func(i int) {
-		t := targets[i]
+		set := targets[i]
 		var f []xdm.NodeRef
-		for _, nd := range t.oset.nodes {
-			if t.set.seen.Add(nd) {
+		for _, nd := range o.sets[i].nodes {
+			if set.seen.Add(nd) {
 				f = append(f, nd)
 			}
 		}
 		if len(f) > 0 {
-			t.set.nodes = xdm.MergeSortedNodes(t.set.nodes, f)
+			set.nodes = xdm.MergeSortedNodes(set.nodes, f)
 		}
 		fresh[i] = f
 	}
@@ -408,69 +429,36 @@ func (s *iterSets) absorbN(o *iterSets, workers int, cctx context.Context) (*ite
 			continue
 		}
 		s.n += len(f)
-		delta.sets[itemIKey(iter)] = &iterSet{rep: iter, nodes: f}
-		delta.iters = append(delta.iters, iter)
+		delta.set(iter).nodes = f
 		delta.n += len(f)
 	}
 	return delta, nil
 }
 
-// plus returns the union s ∪ o (per iteration) as a freshly built family.
-// It is the pre-absorb reference implementation, kept as the oracle for
-// the equivalence property tests — production code uses absorb.
-func (s *iterSets) plus(o *iterSets) *iterSets {
-	out := emptyIterSets()
-	for _, iter := range s.iters {
-		for _, n := range s.sets[itemIKey(iter)].nodes {
-			out.add(iter, n)
-		}
-	}
-	for _, iter := range o.iters {
-		for _, n := range o.sets[itemIKey(iter)].nodes {
-			out.add(iter, n)
-		}
-	}
-	out.sortAll()
-	return out
-}
-
-// minus returns s \ o (per iteration); reference oracle twin of plus.
-func (s *iterSets) minus(o *iterSets) *iterSets {
-	out := emptyIterSets()
-	for _, iter := range s.iters {
-		drop := o.sets[itemIKey(iter)]
-		for _, n := range s.sets[itemIKey(iter)].nodes {
-			if drop != nil && drop.seen.Has(n) {
-				continue
-			}
-			out.add(iter, n)
-		}
-	}
-	out.sortAll()
-	return out
-}
-
 // table materializes the sets as an iter|pos|item relation with pos the
 // document-order rank within each iteration. Iterations are emitted in a
 // deterministic order. The layout is columnar: three vectors for the whole
-// family — the item column packed to identity words — instead of one row
-// allocation per node, which is what makes the per-round µ feed cheap.
+// family — iter and pos as int columns, the item column packed to identity
+// words — instead of one row allocation per node, which is what makes the
+// per-round µ feed cheap.
 func (s *iterSets) table() *Table {
-	order := make([]xdm.Item, len(s.iters))
-	copy(order, s.iters)
-	sort.SliceStable(order, func(i, j int) bool { return compareItems(order[i], order[j]) < 0 })
-	iterV := make([]xdm.Item, 0, s.n)
-	posV := make([]xdm.Item, 0, s.n)
+	order := make([]int, len(s.iters))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return compareItems(s.iters[order[i]], s.iters[order[j]]) < 0 })
+	iterB := newColBuilder(s.n)
+	pos := make([]int64, 0, s.n)
 	itemB := newColBuilder(s.n)
-	for _, iter := range order {
-		for i, n := range s.sets[itemIKey(iter)].nodes {
-			iterV = append(iterV, iter)
-			posV = append(posV, xdm.NewInteger(int64(i+1)))
+	for _, i := range order {
+		for p, n := range s.sets[i].nodes {
+			iterB.append(s.iters[i])
+			pos = append(pos, int64(p+1))
 			itemB.appendNode(n)
 		}
 	}
 	return NewColTable([]string{"iter", "pos", "item"},
-		[]*Column{genericColumn(iterV), genericColumn(posV), itemB.finish()})
+		[]*Column{iterB.finish(), intColumn(pos), itemB.finish()})
 }
 
 // evalCtor executes a constructor operator: Kids[0] is the loop relation

@@ -10,7 +10,7 @@ import (
 
 // These property tests drive randomized node batches through the
 // incremental iterSets accumulator (absorb) and through the original
-// rebuild-everything implementation (plus/minus, kept as oracles) and
+// rebuild-everything implementation (plus/minus, defined here as oracles) and
 // assert identical observable state after every round: sizes, per-round
 // deltas, and the full iter|pos|item materialization, byte for byte.
 
@@ -75,6 +75,47 @@ func requireTablesIdentical(t *testing.T, what string, got, want *Table) {
 			}
 		}
 	}
+}
+
+func (s *iterSets) add(iter xdm.Item, node xdm.NodeRef) { s.addTo(s.set(iter), node) }
+
+// find returns the set of iter, or nil.
+func (s *iterSets) find(iter xdm.Item) *iterSet {
+	if id := s.words.find(s.key(iter)); id >= 0 {
+		return s.sets[id]
+	}
+	return nil
+}
+
+// plus returns the union s ∪ o (per iteration) as a freshly built family:
+// the pre-absorb reference implementation, the oracle for absorb.
+func (s *iterSets) plus(o *iterSets) *iterSets {
+	out := emptyIterSets()
+	for _, f := range []*iterSets{s, o} {
+		for i, iter := range f.iters {
+			for _, n := range f.sets[i].nodes {
+				out.add(iter, n)
+			}
+		}
+	}
+	out.sortAll()
+	return out
+}
+
+// minus returns s \ o (per iteration); reference oracle twin of plus.
+func (s *iterSets) minus(o *iterSets) *iterSets {
+	out := emptyIterSets()
+	for i, iter := range s.iters {
+		drop := o.find(iter)
+		for _, n := range s.sets[i].nodes {
+			if drop != nil && drop.seen.Has(n) {
+				continue
+			}
+			out.add(iter, n)
+		}
+	}
+	out.sortAll()
+	return out
 }
 
 func TestIterSetsAbsorbMatchesPlusMinusOracle(t *testing.T) {
@@ -148,49 +189,55 @@ func TestIterSetsAbsorbEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestRowSetPackedMatchesGeneric: the packed pk fast path and the generic
-// ikey path agree on distinctness across mixed item kinds.
+// TestRowSetPackedMatchesGeneric: the packItem word image that iterSets
+// keys iterations by, and the generic rowSet, draw the ikey identity's
+// distinct-row boundaries across mixed item kinds.
 func TestRowSetPackedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	doc := randDoc(rng, 30, "a.xml")
-	mk := func() []xdm.Item {
+	mk := func() xdm.Item {
 		switch rng.Intn(5) {
 		case 0:
-			return []xdm.Item{xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})}
+			return xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
 		case 1:
-			return []xdm.Item{xdm.NewInteger(int64(rng.Intn(5)))}
+			return xdm.NewInteger(int64(rng.Intn(5)))
 		case 2:
 			// Neighbors beyond 2⁵³: the ikey num field collapses them
-			// through float64, and the packed path must draw the exact
+			// through float64, and the word image must draw the exact
 			// same distinct-row boundaries.
-			return []xdm.Item{xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))}
+			return xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))
 		case 3:
-			return []xdm.Item{xdm.NewString(fmt.Sprintf("s%d", rng.Intn(5)))}
+			return xdm.NewString(fmt.Sprintf("s%d", rng.Intn(5)))
 		default:
-			return []xdm.Item{xdm.NewBoolean(rng.Intn(2) == 0)}
+			return xdm.NewBoolean(rng.Intn(2) == 0)
 		}
 	}
 	for _, width := range []int{1, 2} {
 		set := newRowSet(width)
+		iters := emptyIterSets()
 		seen := map[string]bool{}
 		for i := 0; i < 500; i++ {
 			row := make([]xdm.Item, 0, width)
 			idx := make([]int, width)
 			for c := 0; c < width; c++ {
-				row = append(row, mk()[0])
+				row = append(row, mk())
 				idx[c] = c
 			}
-			// The oracle is the generic ikey identity — what every row
-			// used before the packed fast path existed.
+			// The oracle is the generic ikey identity.
 			key := ""
 			for _, c := range idx {
 				key += fmt.Sprintf("%#v\x01", itemIKey(row[c]))
 			}
-			got := set.insert(row, idx)
 			want := !seen[key]
 			seen[key] = true
-			if got != want {
+			if got := set.insert(row, idx); got != want {
 				t.Fatalf("width %d row %d (%s): insert = %v, want %v", width, i, key, got, want)
+			}
+			if width == 1 {
+				if got := iters.find(row[0]) == nil; got != want {
+					t.Fatalf("row %d (%s): iterSets miss = %v, want %v", i, key, got, want)
+				}
+				iters.set(row[0])
 			}
 		}
 	}

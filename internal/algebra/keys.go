@@ -100,8 +100,6 @@ func packItem(it xdm.Item) (pk, bool) {
 	return pk{}, false
 }
 
-type pk2 struct{ a, b pk }
-
 // buildIKeys/probeIKeys realize general-comparison promotion through
 // multi-key insertion and probing (see the scheme documented on buildKeys).
 // An item yields at most two keys, so callers pass a stack array to fill
@@ -178,15 +176,11 @@ func probeIKeys(dst *[2]ikey, it xdm.Item) int {
 	return 1
 }
 
-// rowSet tracks distinct rows of width 1–3 without string building; wider
-// rows fall back to encoded strings. Rows whose key items all pack (nodes,
-// integers, booleans — the loop-lifted iter|item shape) take the compact
-// pk maps; unpackable rows use the generic ikey maps. The two key spaces
-// cannot collide: a packable item's ikey never equals an unpackable one's.
+// rowSet tracks distinct rows of generic columns: widths 1–3 on ikey
+// tuples without string building, wider rows on encoded strings. Rows
+// whose columns all have word images take the wordTable instead.
 type rowSet struct {
 	w  int
-	p1 map[pk]struct{}
-	p2 map[pk2]struct{}
 	k1 map[ikey]struct{}
 	k2 map[ikey2]struct{}
 	k3 map[ikey3]struct{}
@@ -197,9 +191,9 @@ func newRowSet(width int) *rowSet {
 	s := &rowSet{w: width}
 	switch width {
 	case 1:
-		s.p1 = map[pk]struct{}{}
+		s.k1 = map[ikey]struct{}{}
 	case 2:
-		s.p2 = map[pk2]struct{}{}
+		s.k2 = map[ikey2]struct{}{}
 	case 3:
 		s.k3 = map[ikey3]struct{}{}
 	default:
@@ -208,82 +202,40 @@ func newRowSet(width int) *rowSet {
 	return s
 }
 
-// insertPacked1 inserts a width-1 node row by its packed identity word —
-// the value a packed column stores, so deduplicating such a column never
-// rebuilds an Item or recomputes a key.
-func (s *rowSet) insertPacked1(k uint64) bool {
-	key := pk{1, k}
-	if _, dup := s.p1[key]; dup {
-		return false
-	}
-	s.p1[key] = struct{}{}
-	return true
-}
-
 // insert reports whether the row was new.
 func (s *rowSet) insert(row []xdm.Item, idx []int) bool {
 	switch s.w {
 	case 1:
-		if k, ok := packItem(row[idx[0]]); ok {
-			if _, dup := s.p1[k]; dup {
-				return false
-			}
-			s.p1[k] = struct{}{}
-			return true
-		}
-		k := itemIKey(row[idx[0]])
-		if _, dup := s.k1[k]; dup {
-			return false
-		}
-		if s.k1 == nil {
-			s.k1 = map[ikey]struct{}{}
-		}
-		s.k1[k] = struct{}{}
+		return insertKey(s.k1, itemIKey(row[idx[0]]))
 	case 2:
-		ka, aok := packItem(row[idx[0]])
-		kb, bok := packItem(row[idx[1]])
-		if aok && bok {
-			k := pk2{ka, kb}
-			if _, dup := s.p2[k]; dup {
-				return false
-			}
-			s.p2[k] = struct{}{}
-			return true
-		}
-		k := ikey2{itemIKey(row[idx[0]]), itemIKey(row[idx[1]])}
-		if _, dup := s.k2[k]; dup {
-			return false
-		}
-		if s.k2 == nil {
-			s.k2 = map[ikey2]struct{}{}
-		}
-		s.k2[k] = struct{}{}
+		return insertKey(s.k2, ikey2{itemIKey(row[idx[0]]), itemIKey(row[idx[1]])})
 	case 3:
-		k := ikey3{itemIKey(row[idx[0]]), itemIKey(row[idx[1]]), itemIKey(row[idx[2]])}
-		if _, dup := s.k3[k]; dup {
-			return false
-		}
-		s.k3[k] = struct{}{}
-	default:
-		parts := make([]string, len(idx))
-		for i, c := range idx {
-			parts[i] = exactKey(row[c])
-		}
-		k := strings.Join(parts, "\x01")
-		if _, dup := s.ks[k]; dup {
-			return false
-		}
-		s.ks[k] = struct{}{}
+		return insertKey(s.k3, ikey3{itemIKey(row[idx[0]]), itemIKey(row[idx[1]]), itemIKey(row[idx[2]])})
 	}
+	return insertKey(s.ks, wideKey(row, idx))
+}
+
+func insertKey[K comparable](m map[K]struct{}, k K) bool {
+	if _, dup := m[k]; dup {
+		return false
+	}
+	m[k] = struct{}{}
 	return true
 }
 
-// rowCounter counts row multiplicities (bag difference), with the same
-// packed fast paths as rowSet.
+// wideKey encodes a row of more than three columns as one string.
+func wideKey(row []xdm.Item, idx []int) string {
+	parts := make([]string, len(idx))
+	for i, c := range idx {
+		parts[i] = exactKey(row[c])
+	}
+	return strings.Join(parts, "\x01")
+}
+
+// rowCounter counts row multiplicities (bag difference) of generic
+// columns, keyed like rowSet.
 type rowCounter struct {
 	w  int
-	p1 map[pk]int
-	p2 map[pk2]int
 	k1 map[ikey]int
 	k2 map[ikey2]int
 	ks map[string]int
@@ -293,57 +245,149 @@ func newRowCounter(width int) *rowCounter {
 	c := &rowCounter{w: width}
 	switch width {
 	case 1:
-		c.p1 = map[pk]int{}
+		c.k1 = map[ikey]int{}
 	case 2:
-		c.p2 = map[pk2]int{}
+		c.k2 = map[ikey2]int{}
 	default:
 		c.ks = map[string]int{}
 	}
 	return c
 }
 
-// addPacked1 counts a width-1 node row by its packed identity word
-// (packed-column twin of insertPacked1).
-func (c *rowCounter) addPacked1(k uint64, delta int) int {
-	key := pk{1, k}
-	c.p1[key] += delta
-	return c.p1[key]
-}
-
 func (c *rowCounter) add(row []xdm.Item, idx []int, delta int) int {
 	switch c.w {
 	case 1:
-		if k, ok := packItem(row[idx[0]]); ok {
-			c.p1[k] += delta
-			return c.p1[k]
-		}
-		if c.k1 == nil {
-			c.k1 = map[ikey]int{}
-		}
-		k := itemIKey(row[idx[0]])
-		c.k1[k] += delta
-		return c.k1[k]
+		return addCount(c.k1, itemIKey(row[idx[0]]), delta)
 	case 2:
-		ka, aok := packItem(row[idx[0]])
-		kb, bok := packItem(row[idx[1]])
-		if aok && bok {
-			k := pk2{ka, kb}
-			c.p2[k] += delta
-			return c.p2[k]
-		}
-		if c.k2 == nil {
-			c.k2 = map[ikey2]int{}
-		}
-		k := ikey2{itemIKey(row[idx[0]]), itemIKey(row[idx[1]])}
-		c.k2[k] += delta
-		return c.k2[k]
-	default:
-		parts := make([]string, len(idx))
-		for i, cc := range idx {
-			parts[i] = exactKey(row[cc])
-		}
-		k := strings.Join(parts, "\x01")
-		c.ks[k] += delta
-		return c.ks[k]
+		return addCount(c.k2, ikey2{itemIKey(row[idx[0]]), itemIKey(row[idx[1]])}, delta)
 	}
+	return addCount(c.ks, wideKey(row, idx), delta)
+}
+
+func addCount[K comparable](m map[K]int, k K, delta int) int {
+	m[k] += delta
+	return m[k]
+}
+
+// wordTable is a flat open-addressing hash table over keys of one or two
+// words (one-word keys pass b = 0). insert hands out dense ids in
+// first-seen order, so callers keep per-key payloads — join chains, bag
+// counts, partition ids — in plain slices indexed by id. Slots hold id+1
+// (0 = empty) and probe linearly; the table is presized from a row-count
+// hint to stay at most half full, and doubles if the hint was short.
+type wordTable struct {
+	slots []int32
+	a, b  []uint64 // key words by id
+}
+
+func newWordTable(hint int) *wordTable {
+	n := 16
+	for n < 2*hint {
+		n <<= 1
+	}
+	return &wordTable{
+		slots: make([]int32, n),
+		a:     make([]uint64, 0, hint),
+		b:     make([]uint64, 0, hint),
+	}
+}
+
+// hashWords mixes a key (murmur3's 64-bit finalizer); integer words carry
+// their entropy in the high bits, so the low bits the mask keeps must
+// depend on all of them.
+func hashWords(a, b uint64) uint64 {
+	h := a ^ b*0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// len returns the number of distinct keys.
+func (t *wordTable) len() int { return len(t.a) }
+
+// insert returns the key's id and whether the key was new.
+func (t *wordTable) insert(a, b uint64) (int32, bool) {
+	if 2*(len(t.a)+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := hashWords(a, b) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			id := int32(len(t.a))
+			t.a = append(t.a, a)
+			t.b = append(t.b, b)
+			t.slots[i] = id + 1
+			return id, true
+		}
+		if t.a[s-1] == a && t.b[s-1] == b {
+			return s - 1, false
+		}
+	}
+}
+
+// find returns the key's id, or -1 when absent.
+func (t *wordTable) find(a, b uint64) int32 {
+	mask := uint64(len(t.slots) - 1)
+	for i := hashWords(a, b) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1
+		}
+		if t.a[s-1] == a && t.b[s-1] == b {
+			return s - 1
+		}
+	}
+}
+
+func (t *wordTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for id := range t.a {
+		i := hashWords(t.a[id], t.b[id]) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(id) + 1
+	}
+}
+
+// wordKeys returns the word images of one or two key columns; ok is false
+// for other widths or when a column is generic.
+func wordKeys(cols []*Column) ([]wordCol, bool) {
+	if len(cols) == 0 || len(cols) > 2 {
+		return nil, false
+	}
+	ws := make([]wordCol, len(cols))
+	for i, c := range cols {
+		w, ok := c.words()
+		if !ok {
+			return nil, false
+		}
+		ws[i] = w
+	}
+	return ws, true
+}
+
+// keyWords reads row r's key words (b = 0 for one-column keys).
+func keyWords(ws []wordCol, r int) (a, b uint64) {
+	a = ws[0].at(r)
+	if len(ws) == 2 {
+		b = ws[1].at(r)
+	}
+	return a, b
+}
+
+// sameForms reports whether two key column lists pair columns of equal
+// storage form: only then do equal words mean equal values.
+func sameForms(l, r []*Column) bool {
+	for i := range l {
+		if l[i].form() != r[i].form() {
+			return false
+		}
+	}
+	return true
 }

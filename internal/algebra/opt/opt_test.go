@@ -9,6 +9,7 @@ import (
 	"repro/internal/algebra/opt"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
+	"repro/internal/xq/ast"
 	"repro/internal/xq/parser"
 )
 
@@ -318,6 +319,40 @@ func TestRuleDistinctKeptOverDuplicates(t *testing.T) {
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("distinct result rows = %d, want 1", tbl.Len())
+	}
+}
+
+// TestStepKeyInference: a key containing the context column survives a
+// child, attribute or self step (distinct contexts have disjoint match
+// sets), so δ over such a step goes; a descendant step can reach one node
+// from two nested contexts, so its δ must stay.
+func TestStepKeyInference(t *testing.T) {
+	d, err := docs(t)("hospital.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := xdm.NewNode(d.Root())
+	rows := [][]xdm.Item{{xdm.NewInteger(1), root}, {xdm.NewInteger(2), root}}
+	for _, tc := range []struct {
+		axis ast.Axis
+		keep bool
+	}{
+		{ast.AxisChild, true},
+		{ast.AxisAttribute, true},
+		{ast.AxisSelf, true},
+		{ast.AxisDescendant, false},
+	} {
+		keyed := &algebra.Node{Op: algebra.OpDistinct, Kids: []*algebra.Node{lit([]string{"iter", "item"}, rows)}}
+		step := &algebra.Node{Op: algebra.OpStep, Kids: []*algebra.Node{keyed},
+			Axis: tc.axis, Test: ast.NodeTest{Kind: ast.TestAnyKind}, ItemCol: "item"}
+		a := opt.Analyze(step)
+		if got := a.Props(step).HasKeyWithin(map[string]bool{"iter": true, "item": true}); got != tc.keep {
+			t.Errorf("%v step: key (iter,item) kept = %v, want %v", tc.axis, got, tc.keep)
+		}
+		p := optimizeRoot(&algebra.Node{Op: algebra.OpDistinct, Kids: []*algebra.Node{step}})
+		if got, want := algebra.Operators(p.Root)["distinct"], map[bool]int{true: 1, false: 2}[tc.keep]; got != want {
+			t.Errorf("%v step: %d δ left, want %d:\n%s", tc.axis, got, want, algebra.Explain(p.Root))
+		}
 	}
 }
 

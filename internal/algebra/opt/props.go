@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/algebra"
+	"repro/internal/xq/ast"
 )
 
 // Props are the inferred static properties of one plan node's output.
@@ -221,12 +222,18 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 		p.addKey(append(append([]string{}, n.GroupCols...), n.Col))
 	case algebra.OpStep:
 		// One output row per (input row, distinct axis match): a key not
-		// involving the replaced context column extends by it.
+		// involving the replaced context column extends by it. On the
+		// child, attribute and self axes distinct contexts have disjoint
+		// match sets, so a key containing the context column holds as is.
 		p.copyNodeOnly(kids[0])
 		p.NodeOnly[n.ItemCol] = true
+		disjoint := n.Axis == ast.AxisChild || n.Axis == ast.AxisAttribute || n.Axis == ast.AxisSelf
 		for _, k := range kids[0].Keys {
-			if !contains(k, n.ItemCol) {
+			switch {
+			case !contains(k, n.ItemCol):
 				p.addKey(append(append([]string{}, k...), n.ItemCol))
+			case disjoint:
+				p.addKey(k)
 			}
 		}
 	case algebra.OpIDLookup:
