@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke obs-check cache-check index-check xbench-smoke
+.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke obs-check cache-check index-check xbench-smoke pins-check
 
 all: build test
 
@@ -97,9 +97,21 @@ index-check:
 # skips it. Its tests build xqd and run every workload at tiny size, checking
 # each answer against the other engine's, so a kernel that changes an
 # answer fails here, not only in a benchmark run. (The Table-2 counts in
-# xbench/pinned.json are checked only by full-size runs at seed 1.)
+# xbench/pinned.json are checked by pins-check.)
 xbench-smoke:
 	cd xbench && $(GO) test ./...
+
+# Pin gate: a short seed-1 run of both Table-2 workloads. At seed 1 xbench
+# checks every cell's answer and its Table-2 counts (nodes fed back, depth,
+# payload calls) against xbench/pinned.json, and its JSON result line says
+# "correct":true only when all of them hold. About 3 s per workload after
+# the first build.
+pins-check:
+	@for w in table2-rel table2-interp; do \
+		out=$$(bash xbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+		if echo "$$out" | tail -n 1 | grep -q '"correct":true'; then echo "pins-check: $$w ok"; \
+		else echo "$$out"; echo "pins-check: $$w does not match xbench/pinned.json"; exit 1; fi; \
+	done
 
 # What CI runs (see .github/workflows/ci.yml). The -race pass covers the
 # concurrent store/xqd tests and the parallel fixpoint pools; the plain
@@ -107,7 +119,8 @@ xbench-smoke:
 # coverage step enforces the internal/algebra floor; loadsmoke gates the
 # overload/degradation contract; obs-check gates tracing-on/off parity;
 # cache-check gates caches-on/off parity; index-check gates indexed-vs-
-# scan parity; xbench-smoke gates the benchmark workloads' answers.
+# scan parity; xbench-smoke gates the benchmark workloads' answers;
+# pins-check gates the pinned Table-2 counts.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -120,6 +133,7 @@ ci:
 	$(MAKE) index-check
 	$(MAKE) loadsmoke
 	$(MAKE) xbench-smoke
+	$(MAKE) pins-check
 
 # Differential fuzzing: random documents + random fixpoint queries, every
 # engine/mode/optimizer-level/worker-count combination must agree byte for

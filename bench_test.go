@@ -293,14 +293,14 @@ func BenchmarkIFPCore(b *testing.B) {
 	seed := xdm.NodeSeq([]xdm.NodeRef{{D: doc, Pre: 1}})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunNaive(seed, payload, 0); err != nil {
+			if _, _, err := core.RunWith(core.Naive, seed, payload, core.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("delta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunDelta(seed, payload, 0); err != nil {
+			if _, _, err := core.RunWith(core.Delta, seed, payload, core.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

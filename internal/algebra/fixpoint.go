@@ -11,20 +11,18 @@ import (
 )
 
 // evalMu executes the algebraic fixpoint operators µ (Naïve) and µ∆
-// (Delta) of Section 4.1. Unlike the interpreter, the relational fixpoint
-// is set-oriented: one µ execution iterates the body over *all* live
-// iterations of the enclosing loop simultaneously (the way MonetDB/XQuery
-// evaluates the bidder network's per-person recursion in bulk), converging
-// when no iteration's node set grows.
+// (Delta) of Section 4.1 on core.Iterate, the round loop the interpreter
+// shares. Unlike the interpreter, the relational fixpoint is set-oriented:
+// one µ execution iterates the body over *all* live iterations of the
+// enclosing loop simultaneously (the way MonetDB/XQuery evaluates the
+// bidder network's per-person recursion in bulk), so the value flowing
+// around the loop is an iterSets family, and the run converges when no
+// iteration's node set grows.
 //
-// Loop-invariant hoisting: sub-plans that do not depend on the recursion
-// base stay memoized across rounds; only base-dependent nodes re-evaluate.
-//
-// Accumulation is incremental (the point of the paper's Delta algorithm
-// carried down to the data structures): the accumulated per-iteration sets
-// are mutated in place by absorb, which deduplicates each round's answer
-// against per-document bitmaps and merges sorted runs — no round rebuilds
-// or re-sorts what previous rounds already established.
+// What is left here is the relational payload step: loop-invariant
+// hoisting (sub-plans that do not depend on the recursion base stay
+// memoized across rounds; only rec-dependent nodes re-evaluate), binding
+// the feed and delta tables, and turning the result into a table.
 func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	seedT, err := ctx.kid(n, 0)
 	if err != nil {
@@ -36,11 +34,18 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 		ctx.muAgg[n] = run
 	}
 	run.Executions++
-	tr := ctx.Trace
-	var site int
-	if tr != nil {
-		var ok bool
-		site, ok = ctx.muSite[n]
+	alg := core.Naive
+	if n.Delta {
+		alg = core.Delta
+	}
+	cfg := core.Config{
+		MaxIterations: ctx.MaxIterations,
+		Parallelism:   ctx.Parallelism,
+		Context:       ctx.Ctx,
+		Budget:        ctx.Budget,
+	}
+	if tr := ctx.Trace; tr != nil {
+		site, ok := ctx.muSite[n]
 		if !ok {
 			label := "µ"
 			if n.Delta {
@@ -49,17 +54,16 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 			site = tr.AddSite(label)
 			ctx.muSite[n] = site
 		}
-	}
-	maxIter := ctx.MaxIterations
-	if maxIter <= 0 {
-		maxIter = core.DefaultMaxIterations
+		cfg.Trace, cfg.TraceSite = tr, site
 	}
 	deps := ctx.bodyDeps(n)
 	// The optimizer's delta-fed step rewrite replaces eligible recursion-base
 	// chains with OpRecDelta leaves. Bind only the feeds the body actually
 	// reads: -O0 plans never contain recdelta, so useDelta stays false and
 	// the evaluation (tables built, budget charges, stats) is byte-identical
-	// to the unrewritten path.
+	// to the unrewritten path. A Naïve body reading recdelta sees only the
+	// previous round's growth; for a body certified linear in the recursion
+	// variable that is answer- and stats-preserving (opt/deltarules.go).
 	useBase, useDelta := false, false
 	for dep := range deps {
 		switch dep.Op {
@@ -70,34 +74,29 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 		}
 	}
 	workers := ctx.workers()
-	body := func(feed, delta *iterSets) (*iterSets, error) {
-		if err := ctx.cancelled(); err != nil {
-			return nil, err
-		}
-		run.Stats.PayloadCalls++
-		run.Stats.NodesFedBack += int64(feed.size())
+	apply := func(feed, delta *iterSets) (*iterSets, error) {
 		for dep := range deps {
 			delete(ctx.memo, dep)
 		}
 		// The previous round's feed table and rec-dependent intermediates
 		// become collectible here: their memo entries were just dropped,
 		// and columnar tables own their vectors outright — no shared slab
-		// pins O(rounds × result) rows across rounds.
+		// pins O(rounds × result) rows across rounds. The feed's rows are
+		// charged by core.Iterate; a separate delta table is charged here.
 		var ft *Table
 		if useBase || !useDelta {
 			ft = feed.table()
-			if err := ctx.chargeTable(ft); err != nil {
-				return nil, err
-			}
 			ctx.binding[n.RecBase] = ft
 		}
 		if useDelta {
 			dt := ft
-			if delta != feed || dt == nil {
+			if delta != feed {
 				dt = delta.table()
 				if err := ctx.chargeTable(dt); err != nil {
 					return nil, err
 				}
+			} else if dt == nil {
+				dt = delta.table()
 			}
 			ctx.deltaBind[n.RecBase] = dt
 		}
@@ -111,87 +110,17 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t0 := tr.Now()
-	res, err := body(seed, seed)
+	res := emptyIterSets()
+	st, err := core.Iterate(alg, res, seed, apply, cfg)
+	run.Stats.Add(st)
 	if err != nil {
 		return nil, err
-	}
-	if tr != nil {
-		tr.AddRound(site, 0, int64(seed.size()), int64(res.size()), tr.Now()-t0)
-	}
-	budget := ctx.Budget
-	if n.Delta {
-		delta := res
-		for round := 0; delta.size() > 0; round++ {
-			if round >= maxIter {
-				return nil, xdm.Errorf(xdm.ErrIFP, "µ∆ did not converge within %d rounds", maxIter)
-			}
-			if err := budget.CheckRound(round); err != nil {
-				return nil, err
-			}
-			fed := delta.size()
-			t0 = tr.Now()
-			out, err := body(delta, delta)
-			if err != nil {
-				return nil, err
-			}
-			delta, err = res.absorbN(out, workers, ctx.Ctx)
-			if err != nil {
-				return nil, err
-			}
-			if tr != nil {
-				tr.AddRound(site, round+1, int64(fed), int64(delta.size()), tr.Now()-t0)
-			}
-			if err := budget.ChargeRows(delta.size()); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Naïve µ still feeds the accumulated family, but delta-fed body
-		// fragments (OpRecDelta) see only the genuinely new part of the
-		// previous round: round 0's delta is res itself (everything is new
-		// relative to ∅), thereafter the exact absorb delta. For a body
-		// certified linear in the recursion variable this is answer- and
-		// stats-preserving — see the delta-feed rule in opt/deltarules.go.
-		prev := res
-		for round := 0; ; round++ {
-			if round >= maxIter {
-				return nil, xdm.Errorf(xdm.ErrIFP, "µ did not converge within %d rounds", maxIter)
-			}
-			if err := budget.CheckRound(round); err != nil {
-				return nil, err
-			}
-			fed := res.size()
-			t0 = tr.Now()
-			out, err := body(res, prev)
-			if err != nil {
-				return nil, err
-			}
-			d, err := res.absorbN(out, workers, ctx.Ctx)
-			if err != nil {
-				return nil, err
-			}
-			if tr != nil {
-				tr.AddRound(site, round+1, int64(fed), int64(d.size()), tr.Now()-t0)
-			}
-			if d.size() == 0 {
-				break
-			}
-			prev = d
-			if err := budget.ChargeRows(d.size()); err != nil {
-				return nil, err
-			}
-		}
 	}
 	delete(ctx.binding, n.RecBase)
 	delete(ctx.deltaBind, n.RecBase)
 	for dep := range deps {
 		delete(ctx.memo, dep)
 	}
-	if d := run.Stats.PayloadCalls/run.Executions - 1; d > run.Stats.Depth {
-		run.Stats.Depth = d
-	}
-	run.Stats.ResultSize += res.size()
 	return res.table(), nil
 }
 
@@ -228,11 +157,14 @@ func (ctx *ExecContext) bodyDeps(mu *Node) map[*Node]bool {
 }
 
 // RecDependents collects the sub-plan nodes reachable from root that
-// contain an OpRecBase (the loop-dependence property); these must be
-// re-evaluated on every fixpoint round while everything else stays hoisted
-// in the memo cache. Exported so the plan optimizer publishes exactly this
-// derivation as Plan.LoopDeps — the -O0 fallback above and the -O1
-// property can never desynchronize.
+// contain an OpRecBase (the loop-dependence property) or a constructor;
+// these must be re-evaluated on every fixpoint round while everything else
+// stays hoisted in the memo cache. A constructor counts because every
+// evaluation mints fresh node identities: a µ body that constructs nodes
+// grows res every round, as in the interpreter, so its IFP is undefined
+// (Definition 2.1) instead of converging on one memoized node. Exported so
+// the plan optimizer publishes exactly this derivation as Plan.LoopDeps —
+// the -O0 fallback above and the -O1 property can never desynchronize.
 func RecDependents(root *Node) map[*Node]bool {
 	memo := map[*Node]bool{}
 	var walk func(n *Node) bool
@@ -240,7 +172,7 @@ func RecDependents(root *Node) map[*Node]bool {
 		if v, ok := memo[n]; ok {
 			return v
 		}
-		leaf := n.Op == OpRecBase || n.Op == OpRecDelta
+		leaf := n.Op == OpRecBase || n.Op == OpRecDelta || n.Op == OpCtor
 		memo[n] = leaf // guards against cycles (none expected)
 		dep := leaf
 		for _, k := range n.Kids {
@@ -370,28 +302,36 @@ func (s *iterSets) sortAll() {
 	}
 }
 
-func (s *iterSets) size() int { return s.n }
+// Len is the family's node count, summed over its iterations.
+func (s *iterSets) Len() int { return s.n }
 
-// absorb folds another family — each of its sets already sorted, as
-// newIterSets leaves them — into s in place and returns the genuinely new
+// Feed is the family as a payload input: itself. A µ body reads it through
+// table, never mutating it.
+func (s *iterSets) Feed() *iterSets { return s }
+
+// Absorb folds another family — each of its sets already sorted, as
+// newIterSetsN leaves them — into s in place and returns the genuinely new
 // part: per iteration, the nodes not previously in s, in document order.
-// It replaces the minus-then-plus rebuild of the original implementation;
-// the returned delta is read-only (fed back through table, never mutated).
-func (s *iterSets) absorb(o *iterSets) *iterSets {
-	delta, _ := s.absorbN(o, 1, nil)
-	return delta
-}
-
-// absorbN is absorb with the per-iteration work sharded across the worker
-// pool: within one round, distinct iterations' sets are disjoint — their
-// bitmap dedups and sorted-run merges never touch shared state — so they
-// shard freely. Set creation (phase 1) and the bookkeeping that fixes the
+// The returned delta is read-only (fed back through table, never mutated).
+//
+// An empty s adopts o wholesale and is itself the delta: the seeding round
+// copies nothing, and the next round, whose feed and delta are then the
+// same family, builds one table for both.
+//
+// Otherwise the per-iteration work is sharded across the worker pool:
+// within one round, distinct iterations' sets are disjoint — their bitmap
+// dedups and sorted-run merges never touch shared state — so they shard
+// freely. Set creation (phase 1) and the bookkeeping that fixes the
 // delta's iteration order (phase 3) stay sequential; only the O(nodes)
 // middle runs on workers. The delta is assembled in o's iteration order,
 // making the result byte-identical at every worker count. The only error
 // is the context's, with s possibly part-mutated — callers abort the whole
 // execution on cancellation, so the partial state is never observed.
-func (s *iterSets) absorbN(o *iterSets, workers int, cctx context.Context) (*iterSets, error) {
+func (s *iterSets) Absorb(o *iterSets, workers int, cctx context.Context) (*iterSets, error) {
+	if len(s.iters) == 0 {
+		*s = *o
+		return s, nil
+	}
 	targets := make([]*iterSet, len(o.iters))
 	for i, iter := range o.iters {
 		targets[i] = s.set(iter)

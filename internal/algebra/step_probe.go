@@ -6,29 +6,13 @@ import (
 )
 
 // Index-probed steps. An optimizer-flagged step (Node.IndexProbe) resolves
-// its concrete name test against the document's name index: the matches of
-// descendant::a under a context node are exactly a's posting list cut to
-// the subtree window (pre, pre+size] — two binary searches and a sub-slice
-// instead of a subtree walk. child:: and attribute:: probe the same window
-// and keep the candidates whose parent is the context node, which pays off
-// only when the window holds few candidates; a dense window falls back to
-// the (cheaper) direct walk, counted as an index fallback. Posting lists
-// are ascending, i.e. document order — the same order every arena walk
-// produces — so probed and walked results are byte-identical.
-
-// childProbeFanout caps how many window candidates a child/attribute probe
-// will filter by parent before the direct walk is judged cheaper: the walk
-// visits each child once, the probe visits each same-named descendant once.
-const childProbeFanout = 4
-
-// probeMinWindow is the smallest subtree a probe bothers with. Below it
-// the walk touches a handful of contiguous arena entries, while the probe
-// pays two binary searches over a posting list that may span the whole
-// document — cache-missing log(L) work that loses to any tiny walk. Steps
-// inside fixpoint bodies mostly see small windows (one person, one
-// patient), so this gate is what keeps per-round cost from regressing;
-// the probe's win lives in large windows (document roots, section roots).
-const probeMinWindow = 256
+// its concrete name test against the document's name index through
+// xdm.ProbeStep, the rule the interpreter shares: the matches of
+// descendant::a under a context node are a's posting list cut to the
+// subtree window (pre, pre+size] — two binary searches and a sub-slice
+// instead of a subtree walk — and child:: and attribute:: keep the window's
+// candidates whose parent is the context node. When the walk is judged
+// cheaper, it runs instead.
 
 // stepMatches computes one context node's matches — the shared cache-miss
 // core of stepRange and stepSegRange. The probe path and the walk path
@@ -37,11 +21,7 @@ const probeMinWindow = 256
 func (ctx *ExecContext) stepMatches(node xdm.NodeRef, n *Node) []xdm.NodeRef {
 	matches, ok := []xdm.NodeRef(nil), false
 	if n.IndexProbe && !ctx.NoIndex {
-		if matches, ok = indexProbe(node, n); ok {
-			xdm.CountIndexProbe()
-		} else {
-			xdm.CountIndexFallback()
-		}
+		matches, ok = indexProbe(node, n)
 	}
 	if !ok {
 		for _, m := range axisNodes(node, n.Axis) {
@@ -63,50 +43,28 @@ func (ctx *ExecContext) stepMatches(node xdm.NodeRef, n *Node) []xdm.NodeRef {
 }
 
 // indexProbe answers an index-eligible step from the posting lists; the
-// second result is false when the walk was judged cheaper (child/attribute
-// over a dense window).
+// second result is false when the walk was judged cheaper.
 func indexProbe(node xdm.NodeRef, n *Node) ([]xdm.NodeRef, bool) {
-	if node.Size() < probeMinWindow {
-		return nil, false
-	}
-	d := node.D
 	kind := xdm.ElementNode
 	if n.Axis == ast.AxisAttribute {
 		kind = xdm.AttributeNode
 	}
-	lo := node.Pre
-	hi := node.Pre + node.Size()
-	pres := d.Index().DescendantsInRange(n.Test.Name, kind, lo, hi)
-	switch n.Axis {
-	case ast.AxisDescendant, ast.AxisDescendantOrSelf:
-		var out []xdm.NodeRef
-		if n.Axis == ast.AxisDescendantOrSelf && matchTest(node, n.Test, n.Axis) {
-			out = make([]xdm.NodeRef, 0, len(pres)+1)
-			out = append(out, node)
-		} else if len(pres) > 0 {
-			out = make([]xdm.NodeRef, 0, len(pres))
-		}
-		for _, p := range pres {
-			out = append(out, xdm.NodeRef{D: d, Pre: p})
-		}
-		return out, true
-	case ast.AxisChild, ast.AxisAttribute:
-		if len(pres) > childProbeFanout && int32(len(pres)) > node.Size()/64 {
-			// Dense window: the walk touches each child/attribute once, the
-			// probe would touch every same-named descendant in the window.
-			// The child count is unknown without walking, so probe only
-			// when candidates are few absolutely or rare relative to the
-			// subtree (where filtering candidates beats visiting children).
-			return nil, false
-		}
-		var out []xdm.NodeRef
-		for _, p := range pres {
-			m := xdm.NodeRef{D: d, Pre: p}
-			if par, ok := m.Parent(); ok && par.Pre == node.Pre {
-				out = append(out, m)
-			}
-		}
-		return out, true
+	var buf [8]int32
+	children := n.Axis == ast.AxisChild || n.Axis == ast.AxisAttribute
+	pres, ok := xdm.ProbeStep(node, n.Test.Name, kind, children, buf[:0])
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	self := n.Axis == ast.AxisDescendantOrSelf && matchTest(node, n.Test, n.Axis)
+	if len(pres) == 0 && !self {
+		return nil, true
+	}
+	out := make([]xdm.NodeRef, 0, len(pres)+1)
+	if self {
+		out = append(out, node)
+	}
+	for _, p := range pres {
+		out = append(out, xdm.NodeRef{D: node.D, Pre: p})
+	}
+	return out, true
 }

@@ -1,10 +1,13 @@
 // Package core implements the paper's inflationary fixed point (IFP)
 // semantics (Definition 2.1) and its two evaluation algorithms, Naïve and
-// Delta (Figure 3), independent of any particular XQuery engine. Both the
-// direct interpreter (internal/xq/interp) and the relational back-end
-// (internal/algebra/exec) drive their fixpoints through this package so
-// that instrumentation — iterations, nodes fed back — is uniform across
-// engines, matching the columns of the paper's Table 2.
+// Delta (Figure 3), independent of any particular XQuery engine. Iterate
+// is the one round loop both engines drive: the direct interpreter
+// (internal/xq/interp) through RunWith over node sequences, the relational
+// back-end (internal/algebra) directly over its per-iteration node-set
+// families. Convergence, the iteration bound, cancellation, budgets,
+// per-round trace spans and the Table 2 counters are therefore one piece
+// of code; the engines differ only in the value that flows around the
+// loop and in how they apply the payload to it.
 package core
 
 import (
@@ -58,8 +61,9 @@ type Stats struct {
 	ResultSize int
 }
 
-// Add accumulates another run's counters (used when an IFP executes once
-// per binding of an enclosing for-loop, as in the bidder network query).
+// Add accumulates another run's counters (used when an IFP executes more
+// than once, as per binding of an enclosing for-loop in the bidder network
+// query): Depth is the deepest single run, the rest are totals.
 func (s *Stats) Add(o Stats) {
 	if o.Depth > s.Depth {
 		s.Depth = o.Depth
@@ -88,9 +92,9 @@ type Config struct {
 	// with the worker pool fully drained.
 	Context context.Context
 	// Budget, when non-nil, bounds the computation: the deadline and the
-	// round budget are checked between rounds, and the feed plus each
-	// round's absorbed growth are charged against the row budget. Budget
-	// errors unwind with the Stats collected so far.
+	// round budget are checked between rounds, and each round's feed and
+	// absorbed growth are charged against the row budget. Budget errors
+	// unwind with the Stats collected so far.
 	Budget *xdm.Budget
 	// Trace, when non-nil, records one span per round (feed size, absorbed
 	// growth, duration) under the TraceSite index, round 0 being the
@@ -101,163 +105,100 @@ type Config struct {
 	TraceSite int
 }
 
-// Run computes the IFP of the payload seeded by seed using the requested
-// algorithm. maxIter <= 0 selects DefaultMaxIterations.
-func Run(alg Algorithm, seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return RunWith(alg, seed, body, Config{MaxIterations: maxIter})
+// Sized is anything with a cardinality: a feed, an answer, a delta, or a
+// whole accumulated family.
+type Sized interface{ Len() int }
+
+// Family is the accumulated result res of one fixpoint computation, held
+// in its engine's representation. V is the value that flows around the
+// round loop in that representation: what the payload is fed and what it
+// answers.
+type Family[V Sized] interface {
+	// Len is |res|.
+	Sized
+	// Absorb folds one payload answer into res in place and returns the
+	// round's delta: the answer's members not yet in res, each once. The
+	// work may be sharded across workers and cancelled through ctx; the
+	// delta must not depend on the worker count.
+	Absorb(answer V, workers int, ctx context.Context) (V, error)
+	// Feed returns res as a payload input: what a Naïve round feeds back.
+	Feed() V
 }
 
-// RunWith is Run with a full Config.
-func RunWith(alg Algorithm, seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
-	if alg == Delta {
-		return runDelta(seed, body, cfg)
-	}
-	return runNaive(seed, body, cfg)
-}
-
-func checkNodes(s xdm.Sequence, role string) error {
-	if !s.AllNodes() {
-		return xdm.NewError(xdm.ErrType, "inflationary fixed point "+role+" must be of type node()*")
-	}
-	return nil
-}
-
-// RunNaive is algorithm Naïve (Figure 3(a)):
+// Iterate computes the inflationary fixed point of a payload into res,
+// which must start empty (Figure 3). It is the one round loop of the
+// repository; apply is the engine's payload step. Round 0, the seeding
+// application, is handed (seed, seed). Each later round is handed
+// (feed, delta), delta being the previous round's growth: a Naïve feed is
+// all of res, a Delta feed is delta itself. The run converges after the
+// first round (for Naïve: after the first post-seed round) that adds
+// nothing to res.
 //
-//	res ← e_rec(e_seed);
-//	do res ← e_rec(res) union res while res grows
-//
-// The accumulated result lives in an xdm.Accumulator: each round's answer
-// is absorbed by bitmap membership tests and a sorted-run merge, so the
-// union costs O(|answer|) instead of the full re-sort that round-tripping
-// through xdm.Union would pay. (The *feed* is still the whole accumulated
-// set — that is what makes Naïve naïve.)
-func RunNaive(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return runNaive(seed, body, Config{MaxIterations: maxIter})
-}
-
-func runNaive(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
+// Iterate owns everything but the payload: the iteration bound and its
+// IFPX0001 error, cancellation, the budget's deadline, round and row
+// checks, the per-round trace spans, and the Table 2 counters. The Stats
+// returned with an error hold the counters collected up to it.
+func Iterate[V Sized](alg Algorithm, res Family[V], seed V, apply func(feed, delta V) (V, error), cfg Config) (Stats, error) {
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
+	workers := par.Workers(cfg.Parallelism)
 	var st Stats
-	var acc xdm.Accumulator
-	t0 := cfg.Trace.Now()
-	if err := seedAccumulator(&acc, seed, body, &st); err != nil {
-		return nil, st, err
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.AddRound(cfg.TraceSite, 0, int64(len(seed)), int64(acc.Len()), cfg.Trace.Now()-t0)
-	}
-	if err := cfg.Budget.ChargeRows(acc.Len()); err != nil {
-		return nil, st, err
-	}
-	feed := acc.Sequence()
+	feed, delta := seed, seed
 	for round := 0; ; round++ {
-		if round >= maxIter {
-			return nil, st, xdm.Errorf(xdm.ErrIFP,
-				"inflationary fixed point did not converge within %d iterations", maxIter)
-		}
-		if err := checkBudgetRound(cfg.Budget, round, len(feed)); err != nil {
-			return nil, st, err
-		}
-		if err := par.CtxErr(cfg.Context); err != nil {
-			return nil, st, err
-		}
-		t0 = cfg.Trace.Now()
-		step, err := applyTo(body, feed, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		fresh, err := absorbSharded(&acc, step, cfg)
-		if err != nil {
-			return nil, st, err
-		}
-		if cfg.Trace != nil {
-			cfg.Trace.AddRound(cfg.TraceSite, round+1, int64(len(feed)), int64(len(fresh)), cfg.Trace.Now()-t0)
-		}
-		if len(fresh) == 0 { // res is inflationary: no growth ⇒ fixpoint
-			st.Depth = st.PayloadCalls - 1
-			st.ResultSize = acc.Len()
-			return feed, st, nil
-		}
-		if err := cfg.Budget.ChargeRows(len(fresh)); err != nil {
-			return nil, st, err
-		}
-		feed = acc.Sequence()
-	}
-}
-
-// RunDelta is algorithm Delta (Figure 3(b)):
-//
-//	res ← e_rec(e_seed); ∆ ← res;
-//	do ∆ ← e_rec(∆) except res; res ← ∆ union res while res grows
-//
-// ∆ falls out of the accumulator for free: Absorb returns exactly the
-// nodes of the round's answer not yet in res, deduplicated and in
-// document order — `except res` and `∆ union res` collapse into one
-// incremental pass over the answer.
-func RunDelta(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return runDelta(seed, body, Config{MaxIterations: maxIter})
-}
-
-func runDelta(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	var st Stats
-	var acc xdm.Accumulator
-	t0 := cfg.Trace.Now()
-	if err := seedAccumulator(&acc, seed, body, &st); err != nil {
-		return nil, st, err
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.AddRound(cfg.TraceSite, 0, int64(len(seed)), int64(acc.Len()), cfg.Trace.Now()-t0)
-	}
-	if err := cfg.Budget.ChargeRows(acc.Len()); err != nil {
-		return nil, st, err
-	}
-	delta := acc.Nodes()
-	for round := 0; len(delta) > 0; round++ {
-		if round >= maxIter {
-			return nil, st, xdm.Errorf(xdm.ErrIFP,
-				"inflationary fixed point did not converge within %d iterations", maxIter)
-		}
-		if err := checkBudgetRound(cfg.Budget, round, len(delta)); err != nil {
-			return nil, st, err
+		if round > 0 {
+			if round > maxIter {
+				return st, xdm.Errorf(xdm.ErrIFP,
+					"inflationary fixed point did not converge within %d iterations", maxIter)
+			}
+			if alg == Naive {
+				feed = res.Feed()
+			} else {
+				feed = delta
+			}
+			if err := checkBudgetRound(cfg.Budget, round-1, feed.Len()); err != nil {
+				return st, err
+			}
 		}
 		if err := par.CtxErr(cfg.Context); err != nil {
-			return nil, st, err
+			return st, err
 		}
-		fed := len(delta)
-		t0 = cfg.Trace.Now()
-		step, err := applyTo(body, xdm.NodeSeq(delta), &st)
+		// Measure the feed before Absorb, which may grow it: a Naïve feed, and
+		// the first Delta feed of a family that adopts its first answer, is res.
+		fed := int64(feed.Len())
+		t0 := cfg.Trace.Now()
+		st.PayloadCalls++
+		st.NodesFedBack += fed
+		answer, err := apply(feed, delta)
 		if err != nil {
-			return nil, st, err
+			return st, err
 		}
-		delta, err = absorbSharded(&acc, step, cfg)
-		if err != nil {
-			return nil, st, err
+		if delta, err = res.Absorb(answer, workers, cfg.Context); err != nil {
+			return st, err
 		}
 		if cfg.Trace != nil {
-			cfg.Trace.AddRound(cfg.TraceSite, round+1, int64(fed), int64(len(delta)), cfg.Trace.Now()-t0)
+			cfg.Trace.AddRound(cfg.TraceSite, round, fed, int64(delta.Len()), cfg.Trace.Now()-t0)
 		}
-		if err := cfg.Budget.ChargeRows(len(delta)); err != nil {
-			return nil, st, err
+		// res is inflationary: a round that adds nothing is the fixpoint.
+		// An empty first answer still gets one Naïve round (fed 0), which
+		// the Table 2 counts of both engines include.
+		if delta.Len() == 0 && (round > 0 || alg == Delta) {
+			break
+		}
+		if err := cfg.Budget.ChargeRows(delta.Len()); err != nil {
+			return st, err
 		}
 	}
 	st.Depth = st.PayloadCalls - 1
-	st.ResultSize = acc.Len()
-	return acc.Sequence(), st, nil
+	st.ResultSize = res.Len()
+	return st, nil
 }
 
-// checkBudgetRound is the per-round budget gate shared by both drivers:
-// deadline first (wall clock beats counters), then the round budget, then
-// the feed about to be handed to the payload charged against the row
-// budget. It runs before the payload application, so a tripped budget
-// never pays for one more round.
+// checkBudgetRound is the per-round budget gate: deadline first (wall
+// clock beats counters), then the round budget, then the feed about to be
+// handed to the payload charged against the row budget. It runs before the
+// payload application, so a tripped budget never pays for one more round.
 func checkBudgetRound(b *xdm.Budget, round, feedLen int) error {
 	if b == nil {
 		return nil
@@ -271,36 +212,80 @@ func checkBudgetRound(b *xdm.Budget, round, feedLen int) error {
 	return b.ChargeRows(feedLen)
 }
 
+// RunWith computes the IFP of a payload over node sequences, seeded by
+// seed — the interpreter's fixpoint. The accumulated result lives in an
+// xdm.Accumulator: each round's answer is absorbed by bitmap membership
+// tests and a sorted-run merge, so the union costs O(|answer|) instead of
+// the full re-sort that round-tripping through xdm.Union would pay. (A
+// Naïve feed is still the whole accumulated set — that is what makes
+// Naïve naïve.) The result is in document order.
+func RunWith(alg Algorithm, seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
+	if err := checkNodes(seed, "seed"); err != nil {
+		return nil, Stats{}, err
+	}
+	ddoSeed, err := xdm.DDO(seed)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	var res nodes
+	st, err := Iterate(alg, &res, ddoSeed, func(feed, _ xdm.Sequence) (xdm.Sequence, error) {
+		out, err := body(feed)
+		if err != nil {
+			return nil, err
+		}
+		// Absorb checks node-ness too; this check names the culprit.
+		if err := checkNodes(out, "body result"); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}, cfg)
+	if err != nil {
+		return nil, st, err
+	}
+	return res.Feed(), st, nil
+}
+
+func checkNodes(s xdm.Sequence, role string) error {
+	if !s.AllNodes() {
+		return xdm.NewError(xdm.ErrType, "inflationary fixed point "+role+" must be of type node()*")
+	}
+	return nil
+}
+
+// nodes is RunWith's Family: an xdm.Accumulator whose absorption is
+// sharded across the worker pool.
+type nodes struct{ xdm.Accumulator }
+
+// Feed materializes the accumulated set in document order.
+func (a *nodes) Feed() xdm.Sequence { return a.Sequence() }
+
 // absorbMinChunk is the smallest per-worker slice of a round's answer
 // worth a goroutine; below p × this, absorption stays sequential.
 const absorbMinChunk = 2048
 
-// absorbSharded is Accumulator.Absorb with the membership screen sharded
-// across the worker pool. Phase 1 runs read-only against the accumulated
-// set: each chunk of the round's answer drops the nodes already absorbed —
-// in converged regions that is most of the answer, and a bitmap read per
-// node is all it costs. Phase 2 absorbs the surviving candidates
-// sequentially in chunk order; duplicates *within* the round survive phase
-// 1 and are collapsed there, by exactly the seen.Add the sequential path
-// would have spent on them. Because phase 1 only ever removes items the
-// sequential path would also have rejected, the returned delta — and every
-// later round — is byte-identical to Absorb's at any worker count.
-func absorbSharded(acc *xdm.Accumulator, step xdm.Sequence, cfg Config) ([]xdm.NodeRef, error) {
-	workers := par.Workers(cfg.Parallelism)
-	if workers <= 1 || len(step) < 2*absorbMinChunk {
-		if err := par.CtxErr(cfg.Context); err != nil {
-			return nil, err
-		}
-		return acc.Absorb(step)
+// Absorb is Accumulator.Absorb with the membership screen sharded across
+// the worker pool. Phase 1 runs read-only against the accumulated set:
+// each chunk of the round's answer drops the nodes already absorbed — in
+// converged regions that is most of the answer, and a bitmap read per node
+// is all it costs. Phase 2 absorbs the surviving candidates sequentially
+// in chunk order; duplicates *within* the round survive phase 1 and are
+// collapsed there, by exactly the seen.Add the sequential path would have
+// spent on them. Because phase 1 only ever removes items the sequential
+// path would also have rejected, the returned delta — and every later
+// round — is byte-identical to Absorb's at any worker count.
+func (a *nodes) Absorb(answer xdm.Sequence, workers int, ctx context.Context) (xdm.Sequence, error) {
+	if workers <= 1 || len(answer) < 2*absorbMinChunk {
+		fresh, err := a.Accumulator.Absorb(answer)
+		return xdm.NodeSeq(fresh), err
 	}
-	chunks := par.Chunks(len(step), workers, absorbMinChunk)
+	chunks := par.Chunks(len(answer), workers, absorbMinChunk)
 	cand := make([][]xdm.NodeRef, len(chunks))
-	err := par.Run(cfg.Context, workers, len(chunks), func(i int) error {
-		for _, it := range step[chunks[i][0]:chunks[i][1]] {
+	err := par.Run(ctx, workers, len(chunks), func(i int) error {
+		for _, it := range answer[chunks[i][0]:chunks[i][1]] {
 			if !it.IsNode() {
 				return xdm.NewError(xdm.ErrType, "expected node()*, found "+it.Kind().String())
 			}
-			if n := it.Node(); !acc.Has(n) {
+			if n := it.Node(); !a.Has(n) {
 				cand[i] = append(cand[i], n)
 			}
 		}
@@ -317,45 +302,5 @@ func absorbSharded(acc *xdm.Accumulator, step xdm.Sequence, cfg Config) ([]xdm.N
 	for _, c := range cand {
 		flat = append(flat, c...)
 	}
-	return acc.AbsorbNodes(flat), nil
-}
-
-// seedAccumulator runs the seeding payload application shared by both
-// algorithms and absorbs its answer as the initial res.
-func seedAccumulator(acc *xdm.Accumulator, seed xdm.Sequence, body Payload, st *Stats) error {
-	if err := checkNodes(seed, "seed"); err != nil {
-		return err
-	}
-	ddoSeed, err := xdm.DDO(seed)
-	if err != nil {
-		return err
-	}
-	first, err := applyTo(body, ddoSeed, st)
-	if err != nil {
-		return err
-	}
-	_, err = acc.Absorb(first)
-	return err
-}
-
-// applyTo feeds in — already in distinct document order, as the recursion
-// variable is bound to a node *set* — into the payload and type-checks the
-// answer, updating the instrumentation counters. Unlike the pre-accumulator
-// applyPayload it does not ddo-normalize the answer: the caller's Absorb
-// deduplicates and orders incrementally. The checkNodes call overlaps with
-// Absorb's own per-item node check but is kept for error parity with the
-// oracle drivers: the role-specific "body result" message is part of the
-// byte-identical-behavior contract (and a tag check per item is noise next
-// to the payload evaluation itself).
-func applyTo(body Payload, in xdm.Sequence, st *Stats) (xdm.Sequence, error) {
-	st.PayloadCalls++
-	st.NodesFedBack += int64(len(in))
-	out, err := body(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkNodes(out, "body result"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return xdm.NodeSeq(a.AbsorbNodes(flat)), nil
 }

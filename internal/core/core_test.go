@@ -73,11 +73,11 @@ func TestNaiveDeltaChain(t *testing.T) {
 	payload := successorPayload(verts, adj)
 	seed := xdm.Sequence{xdm.NewNode(verts[0])}
 
-	resN, stN, err := RunNaive(seed, payload, 0)
+	resN, stN, err := RunWith(Naive, seed, payload, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, stD, err := RunDelta(seed, payload, 0)
+	resD, stD, err := RunWith(Delta, seed, payload, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCycleTerminates(t *testing.T) {
 	adj := [][]int{{1}, {2}, {0}} // 3-cycle
 	payload := successorPayload(verts, adj)
 	seed := xdm.Sequence{xdm.NewNode(verts[0])}
-	res, st, err := RunDelta(seed, payload, 0)
+	res, st, err := RunWith(Delta, seed, payload, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestCycleTerminates(t *testing.T) {
 func TestEmptySeed(t *testing.T) {
 	_, verts := graphDoc(2)
 	payload := successorPayload(verts, [][]int{{1}, {}})
-	resN, _, err := RunNaive(nil, payload, 0)
+	resN, _, err := RunWith(Naive, nil, payload, Config{})
 	if err != nil || len(resN) != 0 {
 		t.Errorf("naive on empty seed: %v, %v", resN, err)
 	}
-	resD, _, err := RunDelta(nil, payload, 0)
+	resD, _, err := RunWith(Delta, nil, payload, Config{})
 	if err != nil || len(resD) != 0 {
 		t.Errorf("delta on empty seed: %v, %v", resD, err)
 	}
@@ -132,14 +132,14 @@ func TestEmptySeed(t *testing.T) {
 
 func TestSeedTypeError(t *testing.T) {
 	payload := func(xs xdm.Sequence) (xdm.Sequence, error) { return nil, nil }
-	if _, _, err := RunNaive(xdm.Sequence{xdm.NewInteger(1)}, payload, 0); xdm.CodeOf(err) != xdm.ErrType {
+	if _, _, err := RunWith(Naive, xdm.Sequence{xdm.NewInteger(1)}, payload, Config{}); xdm.CodeOf(err) != xdm.ErrType {
 		t.Errorf("atomic seed: %v", err)
 	}
 	_, verts := graphDoc(1)
 	bad := func(xs xdm.Sequence) (xdm.Sequence, error) {
 		return xdm.Sequence{xdm.NewInteger(1)}, nil
 	}
-	if _, _, err := RunNaive(xdm.NodeSeq(verts), bad, 0); xdm.CodeOf(err) != xdm.ErrType {
+	if _, _, err := RunWith(Naive, xdm.NodeSeq(verts), bad, Config{}); xdm.CodeOf(err) != xdm.ErrType {
 		t.Errorf("atomic body result: %v", err)
 	}
 }
@@ -151,11 +151,11 @@ func TestDivergenceGuard(t *testing.T) {
 		return xdm.Sequence{xdm.NewNode(xdm.NewLeafDoc(xdm.TextNode, "", "t"))}, nil
 	}
 	_, verts := graphDoc(1)
-	_, _, err := RunNaive(xdm.NodeSeq(verts), payload, 32)
+	_, _, err := RunWith(Naive, xdm.NodeSeq(verts), payload, Config{MaxIterations: 32})
 	if xdm.CodeOf(err) != xdm.ErrIFP {
 		t.Errorf("naive divergence: %v", err)
 	}
-	_, _, err = RunDelta(xdm.NodeSeq(verts), payload, 32)
+	_, _, err = RunWith(Delta, xdm.NodeSeq(verts), payload, Config{MaxIterations: 32})
 	if xdm.CodeOf(err) != xdm.ErrIFP {
 		t.Errorf("delta divergence: %v", err)
 	}
@@ -184,11 +184,11 @@ func TestQuickNaiveEqualsDeltaOnDistributivePayloads(t *testing.T) {
 			}
 		}
 		payload := successorPayload(verts, adj)
-		resN, stN, err := RunNaive(seedSeq, payload, 0)
+		resN, stN, err := RunWith(Naive, seedSeq, payload, Config{})
 		if err != nil {
 			return false
 		}
-		resD, stD, err := RunDelta(seedSeq, payload, 0)
+		resD, stD, err := RunWith(Delta, seedSeq, payload, Config{})
 		if err != nil {
 			return false
 		}
@@ -247,11 +247,11 @@ func TestQuickDeltaSubsetOfNaive(t *testing.T) {
 			}
 			return base(xs)
 		}
-		resN, _, err := RunNaive(seedSeq, payload, 0)
+		resN, _, err := RunWith(Naive, seedSeq, payload, Config{})
 		if err != nil {
 			return false
 		}
-		resD, _, err := RunDelta(seedSeq, payload, 0)
+		resD, _, err := RunWith(Delta, seedSeq, payload, Config{})
 		if err != nil {
 			return false
 		}

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	ifpxq "repro"
+	"repro/internal/core"
 	"repro/internal/xdm"
 	"repro/internal/xmlgen"
 )
@@ -211,7 +212,9 @@ type outcome struct {
 //     identical at every worker count and every optimizer level, and an
 //     error must be the same error in every configuration;
 //   - across engines and modes: every configuration that succeeds must
-//     yield the byte-identical result string.
+//     yield the byte-identical result string;
+//   - across engines, per mode: the Table 2 statistics must agree (see
+//     checkTable2).
 func Check(t testing.TB, c Case) {
 	t.Helper()
 	var q *ifpxq.Query
@@ -238,6 +241,7 @@ func Check(t testing.TB, c Case) {
 	}
 	var agreed string
 	haveAgreed := false
+	interpBase := map[ifpxq.Mode]outcome{}
 	for _, engine := range engines {
 		for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
 			optLevels := OptLevels
@@ -284,6 +288,11 @@ func Check(t testing.TB, c Case) {
 				// identically at every worker count (checked above).
 				continue
 			}
+			if engine == ifpxq.EngineInterpreter {
+				interpBase[mode] = base
+			} else if ib, ok := interpBase[mode]; ok {
+				checkTable2(t, c, mode, ib.fixpoints, base.fixpoints)
+			}
 			if !haveAgreed {
 				agreed, haveAgreed = base.result, true
 			} else if base.result != agreed {
@@ -294,5 +303,27 @@ func Check(t testing.TB, c Case) {
 	}
 	if !haveAgreed {
 		t.Errorf("seed %d: no configuration evaluated the query successfully", c.Seed)
+	}
+}
+
+// checkTable2 compares the two engines' Table 2 statistics for one mode
+// where they are comparable: each reports one fixpoint site, run by the
+// same algorithm. Depth and result size must then be equal, and so must
+// the nodes fed back under Delta. A relational Naïve µ re-feeds every
+// iteration's accumulated set until the last iteration converges, so it
+// may feed more than the interpreter, never less.
+func checkTable2(t testing.TB, c Case, mode ifpxq.Mode, interp, rel []ifpxq.FixpointStats) {
+	t.Helper()
+	if len(interp) != 1 || len(rel) != 1 || interp[0].Algorithm != rel[0].Algorithm {
+		return
+	}
+	is, rs := interp[0].Stats, rel[0].Stats
+	fedOK := rs.NodesFedBack == is.NodesFedBack
+	if interp[0].Algorithm == core.Naive {
+		fedOK = rs.NodesFedBack >= is.NodesFedBack
+	}
+	if is.Depth != rs.Depth || is.ResultSize != rs.ResultSize || !fedOK {
+		t.Errorf("seed %d mode=%v %v: Table 2 statistics diverge across engines:\n interp: %+v\n    rel: %+v",
+			c.Seed, mode, interp[0].Algorithm, is, rs)
 	}
 }

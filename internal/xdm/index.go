@@ -107,6 +107,61 @@ func (ix *Index) DescendantsInRange(name string, kind NodeKind, lo, hi int32) []
 	return list[a:b]
 }
 
+// probeMinWindow is the smallest subtree a step probe bothers with. Below
+// it the walk touches a handful of contiguous arena entries, while the
+// probe pays two binary searches over a posting list that may span the
+// whole document — cache-missing log(L) work that loses to any tiny walk.
+// Steps inside fixpoint bodies mostly see small windows (one person, one
+// patient), so this gate is what keeps per-round cost from regressing; the
+// probe's win lives in large windows (document roots, section roots).
+const probeMinWindow = 256
+
+// childProbeFanout caps how many window candidates a child/attribute probe
+// will filter by parent before the direct walk is judged cheaper: the walk
+// visits each child once, the probe visits each same-named descendant once.
+const childProbeFanout = 4
+
+// ProbeStep is the one rule both engines use to answer a named step from
+// the name index instead of walking the arena. It returns the pres of the
+// nodes of the given name and kind (ElementNode or AttributeNode) among
+// node's descendants — or, when children is set, among its children
+// (attributes) only — in document order, which is the walk's order, so
+// probed and walked results are byte-identical. The second result is
+// false when the walk is judged cheaper: a window below probeMinWindow, or
+// a child/attribute probe over a dense window, where the walk touches each
+// child once but the probe every same-named descendant. Both outcomes are
+// counted (IndexCounters).
+//
+// A descendant probe returns a sub-slice of the posting list, shared with
+// the index. A child probe filters the window by parent into buf, so a
+// caller passing a small stack array allocates nothing for it.
+func ProbeStep(node NodeRef, name string, kind NodeKind, children bool, buf []int32) ([]int32, bool) {
+	size := node.Size()
+	if size < probeMinWindow {
+		CountIndexFallback()
+		return nil, false
+	}
+	pres := node.D.Index().DescendantsInRange(name, kind, node.Pre, node.Pre+size)
+	if !children {
+		CountIndexProbe()
+		return pres, true
+	}
+	// The child count is unknown without walking, so probe only when the
+	// candidates are few absolutely or rare relative to the subtree.
+	if len(pres) > childProbeFanout && int32(len(pres)) > size/64 {
+		CountIndexFallback()
+		return nil, false
+	}
+	out := buf[:0]
+	for _, p := range pres {
+		if par, ok := (NodeRef{D: node.D, Pre: p}).Parent(); ok && par.Pre == node.Pre {
+			out = append(out, p)
+		}
+	}
+	CountIndexProbe()
+	return out, true
+}
+
 // Keys returns the posting keys in canonical order (shared slice).
 func (ix *Index) Keys() []PostingKey { return ix.keys }
 

@@ -8,6 +8,9 @@ import (
 // Sequence is an ordered XDM item sequence. The empty sequence is nil.
 type Sequence []Item
 
+// Len is the sequence's length.
+func (s Sequence) Len() int { return len(s) }
+
 // Singleton wraps one item as a sequence.
 func Singleton(it Item) Sequence { return Sequence{it} }
 

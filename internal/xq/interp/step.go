@@ -60,12 +60,7 @@ func (ev *evaluator) evalAxisStep(n *ast.AxisStep, en *env, ctx dynCtx) (xdm.Seq
 	var selected xdm.Sequence
 	probed := false
 	if !ev.engine.opts.NoIndex && stepIndexEligible(n.Axis, n.Test) {
-		if sel, ok := indexAxisNodes(node, n.Axis, n.Test); ok {
-			xdm.CountIndexProbe()
-			selected, probed = sel, true
-		} else {
-			xdm.CountIndexFallback()
-		}
+		selected, probed = indexAxisNodes(node, n.Axis, n.Test)
 	}
 	if !probed {
 		var axisNodes []xdm.NodeRef

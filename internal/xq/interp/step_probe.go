@@ -9,18 +9,9 @@ import (
 // materializing the axis (a full subtree walk for descendant::) and
 // filtering by the node test — every call, with no step cache, so a
 // recursive function re-walks the document on every invocation. When the
-// step names a concrete element or attribute, the document's name index
-// answers it with two binary searches over the name's posting list cut to
-// the context subtree window (pre, pre+size] instead. Posting lists are
-// ascending pre order — exactly the order the walk produces — so probed
-// and walked results are byte-identical. The cost gates mirror
-// internal/algebra's (probeMinWindow, childProbeFanout): tiny windows and
-// dense child probes fall back to the walk, counted as index fallbacks.
-
-const (
-	probeMinWindow   = 256
-	childProbeFanout = 4
-)
+// step names a concrete element or attribute, xdm.ProbeStep — the rule the
+// relational engine shares — answers it from the document's name index
+// instead, or declines when the walk is cheaper.
 
 // stepIndexEligible reports whether an axis step can be answered from the
 // name index: a forward downward axis with a concrete (non-wildcard) name
@@ -40,48 +31,28 @@ func stepIndexEligible(axis ast.Axis, t ast.NodeTest) bool {
 }
 
 // indexAxisNodes answers an eligible step from the posting lists; the
-// second result is false when the walk was judged cheaper (small window,
-// or child/attribute over a dense window).
+// second result is false when the walk was judged cheaper.
 func indexAxisNodes(node xdm.NodeRef, axis ast.Axis, t ast.NodeTest) (xdm.Sequence, bool) {
-	if node.Size() < probeMinWindow {
-		return nil, false
-	}
-	d := node.D
 	kind := xdm.ElementNode
 	if axis == ast.AxisAttribute {
 		kind = xdm.AttributeNode
 	}
-	lo := node.Pre
-	hi := node.Pre + node.Size()
-	pres := d.Index().DescendantsInRange(t.Name, kind, lo, hi)
-	switch axis {
-	case ast.AxisDescendant, ast.AxisDescendantOrSelf:
-		var out xdm.Sequence
-		if axis == ast.AxisDescendantOrSelf && matchNodeTest(node, t, axis) {
-			out = make(xdm.Sequence, 0, len(pres)+1)
-			out = append(out, xdm.NewNode(node))
-		} else if len(pres) > 0 {
-			out = make(xdm.Sequence, 0, len(pres))
-		}
-		for _, p := range pres {
-			out = append(out, xdm.NewNode(xdm.NodeRef{D: d, Pre: p}))
-		}
-		return out, true
-	case ast.AxisChild, ast.AxisAttribute:
-		if len(pres) > childProbeFanout && int32(len(pres)) > node.Size()/64 {
-			// Dense window: the walk touches each child/attribute once,
-			// the probe every same-named descendant; probe only when
-			// candidates are few or rare relative to the subtree.
-			return nil, false
-		}
-		var out xdm.Sequence
-		for _, p := range pres {
-			m := xdm.NodeRef{D: d, Pre: p}
-			if par, ok := m.Parent(); ok && par.Pre == node.Pre {
-				out = append(out, xdm.NewNode(m))
-			}
-		}
-		return out, true
+	var buf [8]int32
+	children := axis == ast.AxisChild || axis == ast.AxisAttribute
+	pres, ok := xdm.ProbeStep(node, t.Name, kind, children, buf[:0])
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	self := axis == ast.AxisDescendantOrSelf && matchNodeTest(node, t, axis)
+	if len(pres) == 0 && !self {
+		return nil, true
+	}
+	out := make(xdm.Sequence, 0, len(pres)+1)
+	if self {
+		out = append(out, xdm.NewNode(node))
+	}
+	for _, p := range pres {
+		out = append(out, xdm.NewNode(xdm.NodeRef{D: node.D, Pre: p}))
+	}
+	return out, true
 }
