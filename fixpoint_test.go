@@ -122,3 +122,35 @@ func TestNaiveRoundAfterEmptyFirstAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestOuterConstructorKeepsIdentity: a constructor bound outside a µ body
+// is evaluated once, so the µ sees one node, every round, and so does
+// everything after it. Only constructors compiled inside the body itself
+// are re-evaluated per round — for the innermost µ whose body holds them.
+func TestOuterConstructorKeepsIdentity(t *testing.T) {
+	for _, tc := range []struct{ q, want string }{
+		// The body returns the outer node: res = {$c} after one round.
+		{`let $c := <a/> return count(with $x seeded by $c recurse $c)`, "1"},
+		// The body reads $c for its value only; $c keeps its identity after
+		// the µ, whichever operand evaluates first.
+		{`let $c := <a/> let $r := with $x seeded by $c recurse $x[exists($c)]
+		  return ($r is $c, $c is $r)`, "true true"},
+		// The constructor lives in the outer body (its loop depends on $x)
+		// but is bound outside the inner µ, which therefore converges.
+		{`count(with $x seeded by <r><s/></r> recurse
+		    $x/*[count(let $c := <a/> return with $y seeded by $c recurse $c) = 1])`, "1"},
+	} {
+		q := MustParse(tc.q)
+		for _, opts := range fixpointConfigs(ModeNaive, ModeDelta) {
+			opts.MaxIterations = 8
+			res, err := q.Eval(opts)
+			if err != nil {
+				t.Errorf("%s: %s: %v", configName(opts), tc.q, err)
+				continue
+			}
+			if got := res.String(); got != tc.want {
+				t.Errorf("%s: %s = %s, want %s", configName(opts), tc.q, got, tc.want)
+			}
+		}
+	}
+}

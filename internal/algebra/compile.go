@@ -31,11 +31,6 @@ type Plan struct {
 	// raw-vs-optimized diagnostics. Root == Raw until an optimizer runs.
 	Raw *Node
 	Mus []*MuSite
-	// LoopDeps, when set by an optimizer pass, marks every node of the
-	// optimized DAG whose subtree reaches an OpRecBase leaf (the
-	// loop-dependence property). The executor's fixpoint driver consumes it
-	// instead of re-walking each µ body per execution.
-	LoopDeps map[*Node]bool
 }
 
 // MuSite describes one compiled fixpoint.
@@ -84,6 +79,9 @@ type compiler struct {
 	topEnv      cenv
 	hoisted     map[ast.Expr]*Node
 	globalNames map[string]bool
+	// scope is the recursion-base leaf of the innermost µ whose body is
+	// being compiled (nil outside every µ body); constructors record it.
+	scope *Node
 }
 
 // isInvariant reports whether an expression's value is the same in every
@@ -331,7 +329,7 @@ func (c *compiler) compile(e ast.Expr, loop *Node, env cenv) (*Node, error) {
 		}
 		atom := numop(content, "a", NumAtomize, "item")
 		content = project(atom, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a"))
-		return &Node{Op: OpCtor, Ctor: CtorText, Kids: []*Node{loop, content}}, nil
+		return c.ctor(CtorText, "", loop, content), nil
 	case *ast.TypeSwitch:
 		return nil, unsupported("typeswitch")
 	}

@@ -422,7 +422,10 @@ func (c *compiler) compileFixpoint(n *ast.Fixpoint, loop *Node, env cenv) (*Node
 		return nil, err
 	}
 	rb := &Node{Op: OpRecBase}
+	outer := c.scope
+	c.scope = rb
 	body, err := c.compile(n.Body, loop, env.bind(n.Var, rb))
+	c.scope = outer
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +472,7 @@ func (c *compiler) compileElemCtor(n *ast.ElemCtor, loop *Node, env cenv) (*Node
 	rn := rownum(content, "npos", []string{"ord", "pos"}, []string{"iter"})
 	rn.Bookkeeping = true
 	ordered := project(rn, pp("iter", "iter"), pp("pos", "npos"), pp("item", "item"))
-	return &Node{Op: OpCtor, Ctor: CtorElem, CtorName: n.Name, Kids: []*Node{loop, ordered}}, nil
+	return c.ctor(CtorElem, n.Name, loop, ordered), nil
 }
 
 func (c *compiler) compileAttrCtor(n *ast.AttrCtor, loop *Node, env cenv) (*Node, error) {
@@ -501,7 +504,13 @@ func (c *compiler) compileAttrCtor(n *ast.AttrCtor, loop *Node, env cenv) (*Node
 	default:
 		return nil, unsupported("attribute value mixing literals and expressions")
 	}
-	return &Node{Op: OpCtor, Ctor: CtorAttr, CtorName: n.Name, Kids: []*Node{loop, content}}, nil
+	return c.ctor(CtorAttr, n.Name, loop, content), nil
+}
+
+// ctor builds a constructor operator scoped to the innermost enclosing µ
+// body, the fixpoint whose every round must re-evaluate it (RecDependents).
+func (c *compiler) ctor(kind CtorKind, name string, loop, content *Node) *Node {
+	return &Node{Op: OpCtor, Ctor: kind, CtorName: name, Kids: []*Node{loop, content}, RecBase: c.scope}
 }
 
 // ResultSequence extracts the XDM sequence of the top-level iteration from

@@ -131,8 +131,7 @@ func (e *Engine) Eval() (xdm.Sequence, []MuRun, error) {
 	ctx := &ExecContext{
 		Docs: e.opts.Docs, MaxIterations: e.opts.MaxIterations,
 		Parallelism: e.opts.Parallelism, NoIndex: e.opts.NoIndex,
-		Ctx:      e.opts.Context,
-		LoopDeps: e.plan.LoopDeps, Budget: e.opts.Budget,
+		Ctx: e.opts.Context, Budget: e.opts.Budget,
 		Trace: e.opts.Trace, Prof: e.opts.Prof,
 	}
 	stopExec := e.opts.Trace.StartPhase("exec")

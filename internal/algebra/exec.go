@@ -132,12 +132,6 @@ type ExecContext struct {
 	// inside the sharded operators; the pool always drains before the
 	// context's error is returned.
 	Ctx context.Context
-	// LoopDeps, when set (Plan.LoopDeps, filled by the optimizer), is the
-	// precomputed loop-dependence property: the nodes whose subtree reaches
-	// an OpRecBase leaf. The fixpoint driver scopes it to each µ body
-	// instead of re-deriving the property with its own walk; nil (-O0)
-	// falls back to recDependents.
-	LoopDeps map[*Node]bool
 	// Budget, when non-nil, bounds the execution: eval charges each freshly
 	// computed operator table against the row budget and polls the deadline,
 	// and evalMu adds per-round deadline/round checks plus feed and growth

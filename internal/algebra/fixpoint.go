@@ -126,53 +126,45 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 
 // bodyDeps returns the µ body's rec-dependent node set — the nodes whose
 // memo entries must drop every round while everything else stays hoisted —
-// cached per µ site across re-executions. When the optimizer annotated the
-// plan (ctx.LoopDeps), the set is read off the precomputed loop-dependence
-// property: the walk prunes at the first property-false node (nothing below
-// it can reach a recursion base). Unoptimized plans (-O0) fall back to the
-// self-contained recDependents derivation.
+// cached per µ site across re-executions.
 func (ctx *ExecContext) bodyDeps(mu *Node) map[*Node]bool {
-	if d, ok := ctx.muDeps[mu]; ok {
-		return d
+	d, ok := ctx.muDeps[mu]
+	if !ok {
+		d = RecDependents(mu.Kids[1], mu)
+		ctx.muDeps[mu] = d
 	}
-	var d map[*Node]bool
-	if ctx.LoopDeps != nil {
-		d = map[*Node]bool{}
-		var walk func(n *Node)
-		walk = func(n *Node) {
-			if !ctx.LoopDeps[n] || d[n] {
-				return
-			}
-			d[n] = true
-			for _, k := range n.Kids {
-				walk(k)
-			}
-		}
-		walk(mu.Kids[1])
-	} else {
-		d = RecDependents(mu.Kids[1])
-	}
-	ctx.muDeps[mu] = d
 	return d
 }
 
 // RecDependents collects the sub-plan nodes reachable from root that
-// contain an OpRecBase (the loop-dependence property) or a constructor;
-// these must be re-evaluated on every fixpoint round while everything else
-// stays hoisted in the memo cache. A constructor counts because every
-// evaluation mints fresh node identities: a µ body that constructs nodes
-// grows res every round, as in the interpreter, so its IFP is undefined
-// (Definition 2.1) instead of converging on one memoized node. Exported so
-// the plan optimizer publishes exactly this derivation as Plan.LoopDeps —
-// the -O0 fallback above and the -O1 property can never desynchronize.
-func RecDependents(root *Node) map[*Node]bool {
+// contain an OpRecBase or OpRecDelta leaf: the loop-dependence property.
+//
+// With mu non-nil, root is mu's body and the set is what every round of mu
+// must re-evaluate while everything else stays hoisted in the memo cache.
+// It then also holds the constructors compiled inside mu's own body (their
+// RecBase is mu's) and everything above them: every evaluation mints fresh
+// node identities, so a body that returns constructed nodes grows res every
+// round, as in the interpreter, and its IFP is undefined (Definition 2.1)
+// instead of converging on one memoized node. Any other constructor is not
+// followed. One bound outside mu's body (by a let or for around the µ) is
+// evaluated once per execution of mu and keeps its identity, as the
+// interpreter's variable binding does; one inside a nested µ is re-evaluated
+// by that µ, which itself contains a recursion base.
+func RecDependents(root, mu *Node) map[*Node]bool {
 	memo := map[*Node]bool{}
 	var walk func(n *Node) bool
 	walk = func(n *Node) bool {
 		if v, ok := memo[n]; ok {
 			return v
 		}
-		leaf := n.Op == OpRecBase || n.Op == OpRecDelta || n.Op == OpCtor
+		leaf := n.Op == OpRecBase || n.Op == OpRecDelta
+		if mu != nil && n.Op == OpCtor {
+			if n.RecBase != mu.RecBase {
+				memo[n] = false
+				return false
+			}
+			leaf = true
+		}
 		memo[n] = leaf // guards against cycles (none expected)
 		dep := leaf
 		for _, k := range n.Kids {

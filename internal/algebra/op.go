@@ -175,6 +175,8 @@ type Node struct {
 	// RecBase points at that leaf so the executor can rebind it.
 	// OpRecDelta reuses RecBase to name the site whose per-round delta it
 	// reads; the node is a leaf (the feed is bound by evalMu, not computed).
+	// OpCtor reuses it to name the innermost µ whose body constructs it
+	// (nil outside every µ body).
 	Delta   bool
 	RecBase *Node
 	// Desc makes OpRowNum number in descending sort order (reverse axes).

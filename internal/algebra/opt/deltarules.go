@@ -87,7 +87,7 @@ func deltaEligible(root *algebra.Node, strict map[*algebra.Node]bool) map[*algeb
 // per non-∪ junction — the shape under which per-occurrence delta
 // substitution is answer-preserving for naïve µ.
 func linearBody(mu *algebra.Node) bool {
-	deps := algebra.RecDependents(mu.Kids[1])
+	deps := algebra.RecDependents(mu.Kids[1], nil)
 	for n := range deps {
 		recKids := 0
 		for _, k := range n.Kids {

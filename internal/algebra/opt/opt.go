@@ -45,10 +45,6 @@ func optimize(p *algebra.Plan, noIndex bool) {
 	root = hashCons(root)
 	p.Root = root
 	remapMus(p, root)
-	// Publish the loop-dependence property over the final DAG with the
-	// executor's own derivation, so -O0 (which re-derives) and -O1 (which
-	// consumes this map) can never disagree.
-	p.LoopDeps = algebra.RecDependents(root)
 }
 
 // remapMus re-points every µ site at its counterpart in the optimized DAG.

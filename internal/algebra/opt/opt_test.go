@@ -190,9 +190,6 @@ func TestPlanKeepsRawRoot(t *testing.T) {
 	if p.Raw == nil || p.Raw == p.Root {
 		t.Fatalf("optimizer should preserve the raw root separately (raw=%p root=%p)", p.Raw, p.Root)
 	}
-	if p.LoopDeps == nil {
-		t.Fatal("optimizer should publish the loop-dependence property")
-	}
 }
 
 func TestMuSitesRemapped(t *testing.T) {
@@ -230,6 +227,45 @@ func TestMuSitesRemapped(t *testing.T) {
 	}
 	if p.Mus[0].Mu.RecBase == nil {
 		t.Fatal("optimized µ lost its recursion-base pointer")
+	}
+}
+
+// TestNaiveDeltaFeedWithConstructor: the Naïve delta-feed rewrite
+// certifies a body by its linearity in the recursion variable. A
+// constructor that does not depend on that variable leaves the certificate
+// (and the body's OpRecDelta leaf) in place, although the executor
+// re-evaluates the constructor every round.
+func TestNaiveDeltaFeedWithConstructor(t *testing.T) {
+	for _, q := range []string{
+		`count(with $x seeded by doc("hospital.xml")/hospital/patient recurse $x/parents/patient)`,
+		`count(with $x seeded by doc("hospital.xml")/hospital/patient
+			recurse ($x/parents/patient | <d/>/patient))`,
+	} {
+		m, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, err := algebra.NewEngine(m, algebra.Options{Docs: docs(t), Mode: algebra.ModeNaive, Optimize: opt.Optimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		seen := map[*algebra.Node]bool{}
+		var walk func(n *algebra.Node)
+		walk = func(n *algebra.Node) {
+			if seen[n] {
+				return
+			}
+			seen[n] = true
+			found = found || n.Op == algebra.OpRecDelta
+			for _, k := range n.Kids {
+				walk(k)
+			}
+		}
+		walk(en.Plan().Root)
+		if !found {
+			t.Errorf("%s: Naïve body lost its delta-feed rewrite", q)
+		}
 	}
 }
 

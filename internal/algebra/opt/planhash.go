@@ -35,12 +35,13 @@ func PlanHash(root *algebra.Node) uint64 {
 		for _, k := range n.Kids {
 			visit(k)
 		}
-		if (n.Op == algebra.OpMu || n.Op == algebra.OpRecDelta) && n.RecBase != nil {
-			// The rec-base backlink is part of µ's (and a delta leaf's)
-			// identity. For µ the leaf was visited via the body; a delta leaf
-			// may precede its base in DFS order (or the base may be fully
-			// rewritten away), so assign its id on demand — still
-			// deterministic, ids follow first-mention order.
+		if n.RecBase != nil {
+			// The rec-base backlink is part of µ's, a delta leaf's and a
+			// constructor's identity (a constructor's names the µ that
+			// re-evaluates it every round). For µ the leaf was visited via
+			// the body; the others may precede the base in DFS order (or the
+			// base may be fully rewritten away), so assign its id on demand —
+			// still deterministic, ids follow first-mention order.
 			id, ok := ids[n.RecBase]
 			if !ok {
 				id = len(ids)

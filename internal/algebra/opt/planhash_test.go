@@ -61,3 +61,17 @@ func TestPlanHashDistinguishes(t *testing.T) {
 	// Optimizer level changes the plan shape.
 	record("bidder/auto/raw", hashOf(t, bench.BidderNetworkQuery, algebra.ModeAuto, false))
 }
+
+// TestPlanHashConstructorScope: a constructor bound outside a µ body and
+// one built inside it compile to the same operator shape, but only the
+// second is re-evaluated every round (the first query answers 1, the second
+// does not converge), so the result-cache key must tell them apart.
+func TestPlanHashConstructorScope(t *testing.T) {
+	for _, optimize := range []bool{false, true} {
+		outside := hashOf(t, `let $c := <a/> return count(with $x seeded by doc("shop.xml")/shop recurse $c)`, algebra.ModeAuto, optimize)
+		inside := hashOf(t, `count(with $x seeded by doc("shop.xml")/shop recurse <a/>)`, algebra.ModeAuto, optimize)
+		if outside == inside {
+			t.Errorf("optimize=%v: constructor scopes hash alike (%x)", optimize, inside)
+		}
+	}
+}

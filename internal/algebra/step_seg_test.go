@@ -160,8 +160,8 @@ func TestSegShareMatchesClassic(t *testing.T) {
 }
 
 // aliasDeltas rewrites recursion-base occurrences onto OpRecDelta leaves —
-// the executor-side shape the optimizer's delta-feed rewrite produces — and
-// republishes loop deps. With all=true every occurrence moves to the delta
+// the executor-side shape the optimizer's delta-feed rewrite produces. With
+// all=true every occurrence moves to the delta
 // feed (the body stops reading the base entirely); with all=false only the
 // first DFS occurrence moves, so the executor must bind base and delta
 // feeds side by side.
@@ -183,7 +183,6 @@ func aliasDeltas(all bool) func(*Plan) {
 				done = true
 			}
 		})
-		p.LoopDeps = RecDependents(p.Root)
 	}
 }
 

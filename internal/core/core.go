@@ -228,7 +228,9 @@ func RunWith(alg Algorithm, seed xdm.Sequence, body Payload, cfg Config) (xdm.Se
 		return nil, Stats{}, err
 	}
 	var res nodes
+	var last xdm.Sequence
 	st, err := Iterate(alg, &res, ddoSeed, func(feed, _ xdm.Sequence) (xdm.Sequence, error) {
+		last = feed
 		out, err := body(feed)
 		if err != nil {
 			return nil, err
@@ -241,6 +243,11 @@ func RunWith(alg Algorithm, seed xdm.Sequence, body Payload, cfg Config) (xdm.Se
 	}, cfg)
 	if err != nil {
 		return nil, st, err
+	}
+	// A Naïve run ends on a round that added nothing to the res it was fed,
+	// so that feed is the result already materialized.
+	if alg == Naive {
+		return last, st, nil
 	}
 	return res.Feed(), st, nil
 }
